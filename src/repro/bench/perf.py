@@ -526,8 +526,8 @@ def bench_journal(seed: int, hours: float = 4.5, repeats: int = 3) -> Dict:
     """Write-ahead journal overhead on the durable gateway.
 
     Streams one seeded chaos deployment's live events through a plain
-    :class:`~repro.streaming.HardenedOnlineDice` and through
-    :class:`~repro.durability.DurableOnlineDice` under every fsync policy.
+    :class:`~repro.streaming.HardenedOnlineDice` and through a one-home
+    :class:`~repro.durability.DurableFleetGateway` under every fsync policy.
     Baseline and journaled runs are interleaved (like
     :func:`bench_telemetry`) so machine-load drift hits all arms equally,
     and every arm's alert stream is asserted identical to the baseline's.
@@ -535,17 +535,20 @@ def bench_journal(seed: int, hours: float = 4.5, repeats: int = 3) -> Dict:
     """
     import tempfile
 
-    from ..durability import DurableOnlineDice, FSYNC_POLICIES
+    from ..durability import DurableFleetGateway, FSYNC_POLICIES
     from ..faults.crash import (
         LATENESS_SECONDS,
         POLICY,
+        _fresh_fleet,
         build_chaos_deployment,
         canonical_alerts,
+        one_home_stream,
     )
     from ..streaming import HardenedOnlineDice
 
     deployment = build_chaos_deployment(seed, hours=hours)
     events = deployment.events
+    stream = one_home_stream(deployment)
 
     def _timed_plain():
         detector = deployment.fit_detector(metrics=telemetry.NULL_REGISTRY)
@@ -559,17 +562,20 @@ def bench_journal(seed: int, hours: float = 4.5, repeats: int = 3) -> Dict:
         return time.perf_counter() - t0, alerts
 
     def _timed_journal(fsync: str, journal_dir: str):
-        detector = deployment.fit_detector(metrics=telemetry.NULL_REGISTRY)
-        durable = DurableOnlineDice(
-            detector, journal_dir, start=deployment.split, fsync=fsync,
-            lateness_seconds=LATENESS_SECONDS, policy=POLICY,
+        detectors = {
+            deployment.home_id: deployment.fit_detector(
+                metrics=telemetry.NULL_REGISTRY
+            )
+        }
+        durable = DurableFleetGateway(
+            _fresh_fleet([deployment], detectors, 1), journal_dir, fsync=fsync
         )
         t0 = time.perf_counter()
-        alerts = durable.ingest_many(events)
-        alerts += durable.finish_stream(deployment.end)
+        durable.dispatch(stream)
+        durable.finish(deployment.end)
         seconds = time.perf_counter() - t0
         durable.close()
-        return seconds, alerts
+        return seconds, durable.alerts_of(deployment.home_id)
 
     baseline_s = float("inf")
     journal_s = {policy: float("inf") for policy in FSYNC_POLICIES}

@@ -1,5 +1,6 @@
 """Durability layer: write-ahead journal, at-least-once alert outbox,
-and crash recovery for the hardened gateway and the fleet.
+and crash recovery for the durable gateway (a single home runs as a
+one-home fleet).
 
 The contract, pinned by the chaos harness (:mod:`repro.faults.crash`):
 for any crash point — including one that tears the final journal record
@@ -47,7 +48,6 @@ from .provenance import (
 )
 from .runtime import (
     RECOVERY_SECONDS_HISTOGRAM,
-    DurableOnlineDice,
     encode_event_frame,
     event_to_record,
     record_to_event,
@@ -56,6 +56,7 @@ from .fleet import (
     DURABILITY_SCHEMA,
     DURABILITY_SIDECAR,
     DurableFleetGateway,
+    load_durability_sidecar,
 )
 
 __all__ = [
@@ -91,11 +92,11 @@ __all__ = [
     "PROVENANCE_WAL",
     "ProvenanceLog",
     "RECOVERY_SECONDS_HISTOGRAM",
-    "DurableOnlineDice",
     "encode_event_frame",
     "event_to_record",
     "record_to_event",
     "DURABILITY_SCHEMA",
     "DURABILITY_SIDECAR",
     "DurableFleetGateway",
+    "load_durability_sidecar",
 ]

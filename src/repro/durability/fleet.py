@@ -1,8 +1,8 @@
-"""Fleet-wide durability: per-shard/per-home journals + shared outbox.
+"""The durable gateway: per-home journals, a shared outbox, crash recovery.
 
-:class:`DurableFleetGateway` gives the sharded router the same crash
-contract the standalone gateway gets from
-:class:`~repro.durability.runtime.DurableOnlineDice`:
+:class:`DurableFleetGateway` wraps a :class:`~repro.fleet.FleetGateway`
+so that a crash anywhere loses nothing.  A single home runs as a fleet of
+one, so this is the only durable path:
 
 * each hosted home owns one :class:`~repro.durability.journal.EventJournal`
   under a shared root (``<root>/<home_id>/``) — journals are keyed by
@@ -11,6 +11,9 @@ contract the standalone gateway gets from
 * every routed event is journaled before dispatch; unrouted events are
   dropped by the router as always and never journaled (they carry no
   state to recover);
+* a gateway never appends to a segment from an earlier life: every home
+  whose journal already has segments starts a fresh one (such a segment
+  may end in a torn record, and replay stops there);
 * fleet alerts get per-home sequence numbers and flow into one shared
   :class:`~repro.durability.outbox.AlertOutbox`, with home-qualified ids;
 * :meth:`save_checkpoint` writes the fleet checkpoint directory plus a
@@ -23,6 +26,7 @@ contract the standalone gateway gets from
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -45,12 +49,35 @@ from .runtime import (
 PathLike = Union[str, os.PathLike]
 
 DURABILITY_SIDECAR = "durability.json"
-#: /2 added ``ingest_seqs`` (per-home journaled-event counts, the ingest
-#: service's resume points); /1 sidecars load fine — the counts rebuild
-#: from the journal tail alone in that case.
+#: The only sidecar schema recovery accepts.
 DURABILITY_SCHEMA = "dice-fleet-durability/2"
 
 _log = telemetry.get_logger("repro.durability.fleet")
+
+
+def load_durability_sidecar(directory: PathLike) -> dict:
+    """Read a checkpoint's durability sidecar (``{}`` when it has none).
+
+    An unreadable or corrupt sidecar, or one of another schema, raises
+    :class:`CheckpointError` naming the path.
+    """
+    path = os.path.join(os.fspath(directory), DURABILITY_SIDECAR)
+    if not os.path.exists(path):
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            sidecar = json.load(handle)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read durability sidecar {path}: {exc}") from exc
+    except ValueError as exc:
+        raise CheckpointError(f"corrupt durability sidecar {path}: {exc}") from exc
+    schema = sidecar.get("schema") if isinstance(sidecar, dict) else None
+    if schema != DURABILITY_SCHEMA:
+        raise CheckpointError(
+            f"{path} is not a durability sidecar (schema {schema!r}, "
+            f"expected {DURABILITY_SCHEMA!r})"
+        )
+    return sidecar
 
 
 class DurableFleetGateway:
@@ -83,6 +110,8 @@ class DurableFleetGateway:
             self._journal_of(home_id)
 
     def _journal_of(self, home_id: str) -> EventJournal:
+        """The home's journal, opened on a fresh segment whenever earlier
+        segments exist — never appended to a segment from an earlier life."""
         journal = self.journals.get(home_id)
         if journal is None:
             journal = EventJournal(
@@ -91,10 +120,13 @@ class DurableFleetGateway:
                 fsync_interval=self.fsync_interval,
                 metrics=self.gateway.runtime_of(home_id).metrics,
             )
+            if journal.segments():
+                journal.rotate(journal.epoch + 1)
             self.journals[home_id] = journal
         return journal
 
-    def _provenance_log_of(self, home_id: str) -> ProvenanceLog:
+    def provenance_log_of(self, home_id: str) -> ProvenanceLog:
+        """The home's evidence archive (``<root>/<home_id>/provenance.wal``)."""
         log = self.provenance_logs.get(home_id)
         if log is None:
             log = ProvenanceLog(
@@ -154,7 +186,7 @@ class DurableFleetGateway:
             recorder = self.gateway.runtime_of(home_id).provenance
             if not recorder.enabled:
                 continue
-            log = self._provenance_log_of(home_id)
+            log = self.provenance_log_of(home_id)
             for record in recorder.drain_unjournaled():
                 log.append(record)
         return fresh
@@ -208,9 +240,13 @@ class DurableFleetGateway:
     def save_checkpoint(self, directory: PathLike) -> None:
         """Fleet checkpoint + durability sidecar, then rotate/truncate.
 
-        Same crash-safety order as the standalone path: journals synced,
-        checkpoint (manifest last) written, sidecar written, and only then
-        are superseded segments dropped.
+        Order is the crash-safety argument: journals are synced first
+        (every event the checkpoint accounts for is on disk), the
+        checkpoint (manifest last) and then the sidecar are written
+        atomically, and only then are superseded segments dropped — a
+        crash at any point leaves either the old checkpoint with its full
+        journals, or the new one with at worst some not-yet-truncated
+        (ignored) segments.
         """
         directory = os.fspath(directory)
         for journal in self.journals.values():
@@ -278,27 +314,16 @@ class DurableFleetGateway:
                 metrics=metrics,
                 **runtime_kwargs,
             )
-            sidecar_path = os.path.join(os.fspath(checkpoint_dir), DURABILITY_SIDECAR)
-            if os.path.exists(sidecar_path):
-                import json
-
-                with open(sidecar_path, "r", encoding="utf-8") as handle:
-                    sidecar = json.load(handle)
+            sidecar = load_durability_sidecar(checkpoint_dir)
         elif gateway is None:
             raise CheckpointError(
                 "no fleet checkpoint to restore and no fresh gateway supplied"
             )
         epochs = sidecar.get("journal_epochs", {})
-        seqs = sidecar.get("alert_seqs", {})
-        durable = cls(
-            gateway,
-            journal_root,
-            fsync=fsync,
-            fsync_interval=fsync_interval,
-            outbox=outbox,
-            alert_seqs=seqs,
-            ingest_seqs=sidecar.get("ingest_seqs", {}),
-        )
+        ingest_seqs = dict(sidecar.get("ingest_seqs", {}))
+        # Replay every home's tail before the journals open: a torn tail is
+        # legal only in the newest segment, and opening a journal over old
+        # segments starts a fresh one.
         replayed: List[FleetAlert] = []
         total_records = 0
         for home_id in gateway.home_ids:
@@ -309,26 +334,28 @@ class DurableFleetGateway:
                 metrics=runtime.metrics,
             )
             total_records += len(records)
-            fresh: List[FleetAlert] = []
             replayed_events = 0
             for record in records:
                 if record.get("type") != "event":
                     continue
                 replayed_events += 1
                 for alert in runtime.ingest(record_to_event(record)):
-                    fresh.append(FleetAlert(home_id, alert))
+                    replayed.append(FleetAlert(home_id, alert))
             if replayed_events:
                 # The journal tail holds events appended after the sidecar
                 # was written — the resume sequence advances past them.
-                durable.ingest_seqs[home_id] = (
-                    durable.ingest_seqs.get(home_id, 0) + replayed_events
-                )
-            gateway.alerts.extend(fresh)
-            durable._publish(fresh)
-            replayed.extend(fresh)
-            journal = durable._journal_of(home_id)
-            if journal.segments():
-                journal.rotate(journal.epoch + 1)
+                ingest_seqs[home_id] = ingest_seqs.get(home_id, 0) + replayed_events
+        gateway.alerts.extend(replayed)
+        durable = cls(
+            gateway,
+            journal_root,
+            fsync=fsync,
+            fsync_interval=fsync_interval,
+            outbox=outbox,
+            alert_seqs=sidecar.get("alert_seqs", {}),
+            ingest_seqs=ingest_seqs,
+        )
+        durable._publish(replayed)
         elapsed = time.perf_counter() - t0
         gateway.metrics.histogram(
             RECOVERY_SECONDS_HISTOGRAM,

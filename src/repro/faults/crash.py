@@ -7,8 +7,11 @@ an uninterrupted run, with every alert delivered to the sink at least
 once.  This module *tests that by doing it*: seeded synthetic
 deployments, randomized kill points, torn-tail simulation via literal
 byte truncation of the newest segment, recovery, and alert-stream
-comparison — for both the standalone :class:`DurableOnlineDice` and the
-sharded :class:`DurableFleetGateway` (including resharding on restore).
+comparison.  Every trial runs the one durable path,
+:class:`DurableFleetGateway` — a single home runs as a one-home fleet —
+and judges each home against its uninterrupted run on a plain
+:class:`HardenedOnlineDice`, an independent twin with no fleet, journal
+or outbox (multi-home trials also reshard on restore).
 
 Crash model
 -----------
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,10 +40,8 @@ from ..core import DiceDetector
 from ..durability import (
     AlertOutbox,
     DurableFleetGateway,
-    DurableOnlineDice,
     FileSink,
     FlakySink,
-    ProvenanceLog,
     alert_record,
     encode_record,
     event_to_record,
@@ -288,7 +289,7 @@ def tear_final_record(journal_dir: str, last_event: Event, rng) -> int:
 class CrashTrialResult:
     """One kill-and-recover cycle, judged against the uninterrupted run."""
 
-    mode: str  # "standalone" or "fleet"
+    mode: str  # "standalone", "fleet" or "service"
     deploy_seed: int
     kill_index: int
     total_events: int
@@ -346,215 +347,13 @@ class ChaosReport:
 
 
 # --------------------------------------------------------------------- #
-# Standalone trials
+# Fleets and the oracle
 # --------------------------------------------------------------------- #
 
 
-def standalone_oracle(
-    deployment: ChaosDeployment,
-) -> Tuple[List[Alert], Dict[str, bytes]]:
-    """The uninterrupted run's alert stream and evidence archive."""
-    runtime = HardenedOnlineDice(
-        deployment.fit_detector(metrics=telemetry.NULL_REGISTRY),
-        start=deployment.split,
-        lateness_seconds=LATENESS_SECONDS,
-        policy=POLICY,
-    )
-    # Match the durable layer's home stamping so trace ids line up.
-    runtime.provenance.home_id = deployment.home_id
-    alerts = runtime.ingest_many(deployment.events)
-    alerts += runtime.finish_stream(deployment.end)
-    return alerts, canonical_provenance(runtime.provenance.records())
-
-
-def baseline_standalone(deployment: ChaosDeployment) -> List[Alert]:
-    """The uninterrupted run's alert stream (the oracle)."""
-    return standalone_oracle(deployment)[0]
-
-
-def run_standalone_trial(
-    deployment: ChaosDeployment,
-    expected: List[Alert],
-    workdir: str,
-    *,
-    kill_index: int,
-    checkpoint_index: Optional[int] = None,
-    torn: bool = False,
-    fsync: str = "never",
-    flaky_failures: int = 1,
-    max_attempts: int = 4,
-    rng=None,
-    expected_provenance: Optional[Dict[str, bytes]] = None,
-) -> CrashTrialResult:
-    """Run, kill at *kill_index*, recover, finish; judge against *expected*.
-
-    With *torn*, the final journal record (event ``kill_index - 1``) is
-    byte-truncated after the crash; the source then re-feeds from that
-    event, as a resumed pipe would — the recovered stream must still
-    match the oracle exactly.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    events = deployment.events
-    os.makedirs(workdir, exist_ok=True)
-    journal_dir = os.path.join(workdir, "journal")
-    ckpt_path = os.path.join(workdir, "gateway.ckpt.json")
-    outbox_dir = os.path.join(workdir, "outbox")
-    delivered_path = os.path.join(workdir, "delivered.jsonl")
-
-    def make_outbox() -> Tuple[AlertOutbox, FlakySink]:
-        sink = FlakySink(FileSink(delivered_path), failures=flaky_failures)
-        outbox = AlertOutbox(
-            outbox_dir,
-            sink,
-            max_attempts=max_attempts,
-            sleep=lambda _s: None,
-            metrics=telemetry.NULL_REGISTRY,
-        )
-        return outbox, sink
-
-    # --- life before the crash ---------------------------------------- #
-    outbox, _ = make_outbox()
-    durable = DurableOnlineDice(
-        deployment.fit_detector(),
-        journal_dir,
-        home_id=deployment.home_id,
-        start=deployment.split,
-        fsync=fsync,
-        outbox=outbox,
-        lateness_seconds=LATENESS_SECONDS,
-        policy=POLICY,
-    )
-    alerts_at_checkpoint = 0.0
-    prefix: List[Alert] = []
-    if checkpoint_index is not None and 0 < checkpoint_index < kill_index:
-        durable.ingest_many(events[:checkpoint_index])
-        durable.save_checkpoint(ckpt_path)
-        alerts_at_checkpoint = _counter_total(durable.metrics, ALERTS_TOTAL)
-        # Restore does not resurrect alert *history* (those alerts were
-        # already delivered); the end-to-end stream is prefix + recovered.
-        prefix = list(durable.alerts)
-        durable.ingest_many(events[checkpoint_index:kill_index])
-    else:
-        checkpoint_index = None
-        durable.ingest_many(events[:kill_index])
-    durable.deliver_pending()  # some alerts reach the sink pre-crash
-    durable.close()  # process crash: user buffers flush to the OS, then death
-
-    resume_from = kill_index
-    if torn:
-        cut = tear_final_record(
-            journal_dir, events[kill_index - 1], np.random.default_rng(int(rng.integers(1 << 31)))
-        )
-        if cut:
-            # The torn record's event never durably happened: re-feed it.
-            resume_from = kill_index - 1
-
-    # --- the next life ------------------------------------------------- #
-    outbox, sink = make_outbox()
-    recovered, replayed = DurableOnlineDice.recover(
-        deployment.fit_detector(),
-        journal_dir,
-        checkpoint_path=ckpt_path,
-        home_id=deployment.home_id,
-        start=deployment.split,
-        fsync=fsync,
-        outbox=outbox,
-        lateness_seconds=LATENESS_SECONDS,
-        policy=POLICY,
-    )
-    alerts_after_replay = _counter_total(recovered.metrics, ALERTS_TOTAL)
-    recovered.ingest_many(events[resume_from:])
-    recovered.finish_stream(deployment.end)
-    recovered.deliver_pending()
-    provenance_parity = True
-    if expected_provenance is not None:
-        archived = canonical_provenance(recovered.provenance_log.records())
-        provenance_parity = archived == expected_provenance
-    recovered.close()
-
-    parity = canonical_alerts(prefix + recovered.alerts) == canonical_alerts(expected)
-    final_total = _counter_total(recovered.metrics, ALERTS_TOTAL)
-    counters_monotone = (
-        alerts_after_replay >= alerts_at_checkpoint
-        and final_total == float(len(expected))
-    )
-    expected_ids = set(_expected_ids(deployment.home_id, expected))
-    acked = set(outbox.delivered_ids())
-    dead = outbox.dead_letters()
-    dead_ids = {entry["record"]["id"] for entry in dead}
-    delivery_ok = parity and expected_ids == (acked | dead_ids)
-    if flaky_failures < max_attempts:
-        delivery_ok = delivery_ok and not dead_ids
-    return CrashTrialResult(
-        mode="standalone",
-        deploy_seed=-1,  # caller stamps it
-        kill_index=kill_index,
-        total_events=len(events),
-        checkpointed=checkpoint_index is not None,
-        torn=torn and resume_from != kill_index,
-        parity=parity,
-        counters_monotone=counters_monotone,
-        delivery_ok=delivery_ok,
-        replayed_alerts=len(replayed),
-        delivered=len(acked),
-        dead_letters=len(dead),
-        provenance_parity=provenance_parity,
-    )
-
-
-def run_chaos_standalone(
-    base_dir: str,
-    *,
-    deployments: int = 5,
-    kills_per_deployment: int = 5,
-    seed: int = 0,
-    fsync: str = "never",
-    fault_class: FaultType = FaultType.FAIL_STOP,
-) -> ChaosReport:
-    """The standalone chaos batch: seeded deployments × random kill points."""
-    report = ChaosReport()
-    rng = np.random.default_rng(seed)
-    for d in range(deployments):
-        deploy_seed = seed * 1000 + d
-        deployment = build_chaos_deployment(deploy_seed, fault_class=fault_class)
-        expected, expected_provenance = standalone_oracle(deployment)
-        for k in range(kills_per_deployment):
-            n = len(deployment.events)
-            kill_index = int(rng.integers(2, n))
-            checkpoint_index: Optional[int] = None
-            if rng.random() < 0.5 and kill_index > 2:
-                checkpoint_index = int(rng.integers(1, kill_index))
-            torn = bool(rng.random() < 0.34)
-            workdir = os.path.join(base_dir, f"standalone-{deploy_seed}-{k}")
-            result = run_standalone_trial(
-                deployment,
-                expected,
-                workdir,
-                kill_index=kill_index,
-                checkpoint_index=checkpoint_index,
-                torn=torn,
-                fsync=fsync,
-                rng=rng,
-                expected_provenance=expected_provenance,
-            )
-            result.deploy_seed = deploy_seed
-            report.trials.append(result)
-            _log.info(
-                "chaos_trial",
-                mode="standalone",
-                deploy_seed=deploy_seed,
-                kill_index=kill_index,
-                torn=result.torn,
-                checkpointed=result.checkpointed,
-                ok=result.ok,
-            )
-    return report
-
-
-# --------------------------------------------------------------------- #
-# Fleet trials
-# --------------------------------------------------------------------- #
+def one_home_stream(deployment: ChaosDeployment) -> List[Tuple[str, Event]]:
+    """A deployment's live arrival sequence as a one-home fleet's stream."""
+    return [(deployment.home_id, event) for event in deployment.events]
 
 
 def build_chaos_fleet(
@@ -600,31 +399,35 @@ def fleet_oracle(
     deployments: Sequence[ChaosDeployment],
     merged: Sequence[Tuple[str, Event]],
 ) -> Tuple[Dict[str, List[Alert]], Dict[str, Dict[str, bytes]]]:
-    """Per-home oracle alert streams and evidence archives from an
-    uninterrupted single-shard run."""
-    detectors = {
-        dep.home_id: dep.fit_detector(metrics=telemetry.NULL_REGISTRY)
-        for dep in deployments
-    }
-    gateway = _fresh_fleet(deployments, detectors, num_shards=1)
-    gateway.dispatch(merged)
-    gateway.finish({dep.home_id: dep.end for dep in deployments})
-    alerts = {dep.home_id: gateway.alerts_of(dep.home_id) for dep in deployments}
-    provenance = {
-        dep.home_id: canonical_provenance(
-            gateway.runtime_of(dep.home_id).provenance.records()
+    """Per-home oracle alert streams and evidence archives.
+
+    Each home's events from *merged*, in order, run uninterrupted through
+    a plain :class:`HardenedOnlineDice` — no fleet, journal or outbox, so
+    the durable gateway is judged against an independent twin.
+    """
+    alerts: Dict[str, List[Alert]] = {}
+    provenance: Dict[str, Dict[str, bytes]] = {}
+    for dep in deployments:
+        runtime = HardenedOnlineDice(
+            dep.fit_detector(metrics=telemetry.NULL_REGISTRY),
+            start=dep.split,
+            lateness_seconds=LATENESS_SECONDS,
+            policy=POLICY,
         )
-        for dep in deployments
-    }
+        # Match the gateway's home stamping so trace ids line up.
+        runtime.provenance.home_id = dep.home_id
+        home_alerts = runtime.ingest_many(
+            [event for home_id, event in merged if home_id == dep.home_id]
+        )
+        home_alerts += runtime.finish_stream(dep.end)
+        alerts[dep.home_id] = home_alerts
+        provenance[dep.home_id] = canonical_provenance(runtime.provenance.records())
     return alerts, provenance
 
 
-def baseline_fleet(
-    deployments: Sequence[ChaosDeployment],
-    merged: Sequence[Tuple[str, Event]],
-) -> Dict[str, List[Alert]]:
-    """Per-home oracle streams from an uninterrupted single-shard run."""
-    return fleet_oracle(deployments, merged)[0]
+# --------------------------------------------------------------------- #
+# Trials
+# --------------------------------------------------------------------- #
 
 
 def run_fleet_trial(
@@ -644,8 +447,14 @@ def run_fleet_trial(
     rng=None,
     expected_provenance: Optional[Dict[str, Dict[str, bytes]]] = None,
 ) -> CrashTrialResult:
-    """Kill a fleet mid-stream, recover (possibly resharded), compare
-    per-home alert streams against the oracle."""
+    """Run a durable fleet, kill it at *kill_index*, recover (possibly
+    resharded), finish; judge every home against *expected*.
+
+    With *torn*, the final journal record (event ``kill_index - 1``, in
+    its home's journal) is byte-truncated after the crash; the source
+    then re-feeds from that event, as a resumed pipe would — the
+    recovered streams must still match the oracle exactly.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
     os.makedirs(workdir, exist_ok=True)
@@ -653,42 +462,45 @@ def run_fleet_trial(
     ckpt_dir = os.path.join(workdir, "fleet-ckpt")
     outbox_dir = os.path.join(workdir, "outbox")
     delivered_path = os.path.join(workdir, "delivered.jsonl")
+    homes = [dep.home_id for dep in deployments]
     ends = {dep.home_id: dep.end for dep in deployments}
 
-    def make_outbox() -> Tuple[AlertOutbox, FlakySink]:
-        sink = FlakySink(FileSink(delivered_path), failures=flaky_failures)
-        return (
-            AlertOutbox(
-                outbox_dir,
-                sink,
-                max_attempts=max_attempts,
-                sleep=lambda _s: None,
-                metrics=telemetry.NULL_REGISTRY,
-            ),
-            sink,
+    def make_outbox() -> AlertOutbox:
+        return AlertOutbox(
+            outbox_dir,
+            FlakySink(FileSink(delivered_path), failures=flaky_failures),
+            max_attempts=max_attempts,
+            sleep=lambda _s: None,
+            metrics=telemetry.NULL_REGISTRY,
         )
 
+    def alerts_total(gateway, home_id: str) -> float:
+        return _counter_total(gateway.runtime_of(home_id).metrics, ALERTS_TOTAL)
+
+    # --- life before the crash ---------------------------------------- #
     detectors = {dep.home_id: dep.fit_detector() for dep in deployments}
-    outbox, _ = make_outbox()
     durable = DurableFleetGateway(
         _fresh_fleet(deployments, detectors, shards_before),
         journal_root,
         fsync=fsync,
-        outbox=outbox,
+        outbox=make_outbox(),
     )
-    prefix: Dict[str, List[Alert]] = {dep.home_id: [] for dep in deployments}
+    # Restore does not resurrect alert *history* (those alerts were
+    # already delivered); each home's stream is prefix + recovered.
+    prefix: Dict[str, List[Alert]] = {home_id: [] for home_id in homes}
+    at_checkpoint = {home_id: 0.0 for home_id in homes}
     if checkpoint_index is not None and 0 < checkpoint_index < kill_index:
         durable.dispatch(merged[:checkpoint_index])
         durable.save_checkpoint(ckpt_dir)
-        prefix = {
-            dep.home_id: list(durable.alerts_of(dep.home_id)) for dep in deployments
-        }
+        for home_id in homes:
+            prefix[home_id] = list(durable.alerts_of(home_id))
+            at_checkpoint[home_id] = alerts_total(durable, home_id)
         durable.dispatch(merged[checkpoint_index:kill_index])
     else:
         checkpoint_index = None
         durable.dispatch(merged[:kill_index])
-    durable.deliver_pending()
-    durable.close()
+    durable.deliver_pending()  # some alerts reach the sink pre-crash
+    durable.close()  # process crash: user buffers flush to the OS, then death
 
     resume_from = kill_index
     if torn:
@@ -699,10 +511,12 @@ def run_fleet_trial(
             np.random.default_rng(int(rng.integers(1 << 31))),
         )
         if cut:
+            # The torn record's event never durably happened: re-feed it.
             resume_from = kill_index - 1
 
+    # --- the next life ------------------------------------------------- #
     detectors = {dep.home_id: dep.fit_detector() for dep in deployments}
-    outbox, _ = make_outbox()
+    outbox = make_outbox()
     recovered, replayed = DurableFleetGateway.recover(
         detectors,
         journal_root,
@@ -718,21 +532,15 @@ def run_fleet_trial(
         lateness_seconds=LATENESS_SECONDS,
         policy=POLICY,
     )
+    after_replay = {home_id: alerts_total(recovered, home_id) for home_id in homes}
     recovered.dispatch(merged[resume_from:])
     recovered.finish(ends)
     recovered.deliver_pending()
-    provenance_parity = True
-    if expected_provenance is not None:
-        # Read the per-home archives fresh from disk: a home whose records
-        # all predate the crash may never have lazily opened a log handle
-        # in the recovered gateway.
-        provenance_parity = all(
-            canonical_provenance(
-                ProvenanceLog(os.path.join(journal_root, home_id)).records()
-            )
-            == expected_provenance[home_id]
-            for home_id in expected_provenance
-        )
+    provenance_parity = expected_provenance is None or all(
+        canonical_provenance(recovered.provenance_log_of(home_id).records())
+        == expected_provenance[home_id]
+        for home_id in expected_provenance
+    )
     recovered.close()
 
     parity = all(
@@ -741,10 +549,8 @@ def run_fleet_trial(
         for home_id in expected
     )
     counters_monotone = all(
-        _counter_total(
-            recovered.gateway.runtime_of(home_id).metrics, ALERTS_TOTAL
-        )
-        == float(len(expected[home_id]))
+        after_replay[home_id] >= at_checkpoint[home_id]
+        and alerts_total(recovered, home_id) == float(len(expected[home_id]))
         for home_id in expected
     )
     expected_ids = set()
@@ -757,8 +563,8 @@ def run_fleet_trial(
     if flaky_failures < max_attempts:
         delivery_ok = delivery_ok and not dead_ids
     return CrashTrialResult(
-        mode="fleet",
-        deploy_seed=-1,
+        mode="fleet",  # batch runners stamp their own mode
+        deploy_seed=-1,  # caller stamps it
         kill_index=kill_index,
         total_events=len(merged),
         checkpointed=checkpoint_index is not None,
@@ -775,6 +581,83 @@ def run_fleet_trial(
     )
 
 
+def _chaos_batch(
+    base_dir: str,
+    mode: str,
+    fleets: Iterable[Tuple[int, List[ChaosDeployment], List[Tuple[str, Event]]]],
+    kills: int,
+    rng,
+    shard_choices: Optional[Sequence[int]],
+    fsync: str,
+) -> ChaosReport:
+    """*kills* random kill points per ``(seed, deployments, merged)``
+    fleet; shard counts are drawn only when *shard_choices* is given."""
+    report = ChaosReport()
+    for fleet_seed, deployments, merged in fleets:
+        expected, expected_provenance = fleet_oracle(deployments, merged)
+        for k in range(kills):
+            kill_index = int(rng.integers(2, len(merged)))
+            checkpoint_index: Optional[int] = None
+            if rng.random() < 0.5 and kill_index > 2:
+                checkpoint_index = int(rng.integers(1, kill_index))
+            torn = bool(rng.random() < 0.34)
+            shards_before = shards_after = 1
+            if shard_choices is not None:
+                shards_before = int(rng.choice(shard_choices))
+                shards_after = int(rng.choice(shard_choices))
+            result = run_fleet_trial(
+                deployments,
+                merged,
+                expected,
+                os.path.join(base_dir, f"{mode}-{fleet_seed}-{k}"),
+                kill_index=kill_index,
+                checkpoint_index=checkpoint_index,
+                torn=torn,
+                shards_before=shards_before,
+                shards_after=shards_after,
+                fsync=fsync,
+                rng=rng,
+                expected_provenance=expected_provenance,
+            )
+            result.mode = mode
+            result.deploy_seed = fleet_seed
+            report.trials.append(result)
+            _log.info(
+                "chaos_trial",
+                mode=mode,
+                seed=fleet_seed,
+                kill_index=kill_index,
+                shards=f"{shards_before}->{shards_after}",
+                torn=result.torn,
+                checkpointed=result.checkpointed,
+                ok=result.ok,
+            )
+    return report
+
+
+def run_chaos_one_home(
+    base_dir: str,
+    *,
+    deployments: int = 5,
+    kills_per_deployment: int = 5,
+    seed: int = 0,
+    fsync: str = "never",
+    fault_class: FaultType = FaultType.FAIL_STOP,
+) -> ChaosReport:
+    """Single-home chaos (``--mode standalone``): seeded deployments ×
+    random kill points, each home run as a one-home fleet."""
+
+    def homes():
+        for d in range(deployments):
+            deployment = build_chaos_deployment(seed * 1000 + d, fault_class=fault_class)
+            yield seed * 1000 + d, [deployment], one_home_stream(deployment)
+
+    return _chaos_batch(
+        base_dir, "standalone", homes(), kills_per_deployment,
+        np.random.default_rng(seed), None, fsync,
+    )
+
+
 def run_chaos_fleet(
     base_dir: str,
     *,
@@ -787,47 +670,15 @@ def run_chaos_fleet(
     fault_class: FaultType = FaultType.FAIL_STOP,
 ) -> ChaosReport:
     """The fleet chaos batch, resharding on roughly half the restores."""
-    report = ChaosReport()
-    rng = np.random.default_rng(seed + 7)
-    for f in range(fleets):
-        fleet_seed = seed * 1000 + f
-        deployments, merged = build_chaos_fleet(
-            fleet_seed, num_homes=num_homes, fault_class=fault_class
-        )
-        expected, expected_provenance = fleet_oracle(deployments, merged)
-        for k in range(kills_per_fleet):
-            kill_index = int(rng.integers(2, len(merged)))
-            checkpoint_index: Optional[int] = None
-            if rng.random() < 0.5 and kill_index > 2:
-                checkpoint_index = int(rng.integers(1, kill_index))
-            torn = bool(rng.random() < 0.34)
-            shards_before = int(rng.choice(shard_choices))
-            shards_after = int(rng.choice(shard_choices))
-            workdir = os.path.join(base_dir, f"fleet-{fleet_seed}-{k}")
-            result = run_fleet_trial(
-                deployments,
-                merged,
-                expected,
-                workdir,
-                kill_index=kill_index,
-                checkpoint_index=checkpoint_index,
-                torn=torn,
-                shards_before=shards_before,
-                shards_after=shards_after,
-                fsync=fsync,
-                rng=rng,
-                expected_provenance=expected_provenance,
+
+    def fleet_batches():
+        for f in range(fleets):
+            deployments, merged = build_chaos_fleet(
+                seed * 1000 + f, num_homes=num_homes, fault_class=fault_class
             )
-            result.deploy_seed = fleet_seed
-            report.trials.append(result)
-            _log.info(
-                "chaos_trial",
-                mode="fleet",
-                fleet_seed=fleet_seed,
-                kill_index=kill_index,
-                shards=f"{shards_before}->{shards_after}",
-                torn=result.torn,
-                checkpointed=result.checkpointed,
-                ok=result.ok,
-            )
-    return report
+            yield seed * 1000 + f, deployments, merged
+
+    return _chaos_batch(
+        base_dir, "fleet", fleet_batches(), kills_per_fleet,
+        np.random.default_rng(seed + 7), shard_choices, fsync,
+    )

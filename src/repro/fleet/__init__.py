@@ -1,8 +1,8 @@
 """Sharded multi-home fleet gateway (``repro fleet``).
 
-One process hosting many homes: a hash router
-(:func:`~repro.fleet.sharding.shard_of`) in front of shared-nothing
-per-home :class:`~repro.streaming.HardenedOnlineDice` instances, with
+One process hosting many homes: a router in front of shared-nothing
+per-home :class:`~repro.streaming.HardenedOnlineDice` instances, each
+labelled with a hash shard (:func:`~repro.fleet.sharding.shard_of`), with
 fleet-wide checkpoint/restore and merged telemetry.  Sharding is an
 invisible scaling layer — per-home alert sequences are byte-identical to
 standalone runs for any shard count (pinned by ``tests/fleet``).
@@ -22,7 +22,6 @@ from .gateway import (
     FLEET_UNROUTED_TOTAL,
     FleetAlert,
     FleetGateway,
-    FleetShard,
 )
 from .loadgen import (
     FleetHome,
@@ -46,7 +45,6 @@ __all__ = [
     "FLEET_UNROUTED_TOTAL",
     "FleetAlert",
     "FleetGateway",
-    "FleetShard",
     "FleetHome",
     "build_fleet_homes",
     "fit_fleet_detectors",

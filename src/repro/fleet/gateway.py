@@ -2,10 +2,10 @@
 
 :class:`FleetGateway` is the router the ROADMAP's fleet-scale deployments
 put in front of many per-home :class:`~repro.streaming.HardenedOnlineDice`
-instances.  Homes are hashed onto ``N`` worker shards
-(:func:`~repro.fleet.sharding.shard_of`); each shard owns its homes'
-runtimes and nothing else — shards share no mutable state, so the layout
-generalises directly to threads, processes, or machines.
+instances.  Each home carries a shard label, a pure hash of its id
+(:func:`~repro.fleet.sharding.shard_of`).  The label places the home in
+the checkpoint layout and the per-shard telemetry; it holds no state, so
+resharding only relabels homes.
 
 The load-bearing guarantee, pinned by the test suite: **sharding is an
 invisible scaling layer**.  For any event stream, a fleet run with any
@@ -14,8 +14,7 @@ runtime would produce standalone.  The router therefore never reorders a
 home's events, never routes across homes, and never injects synthetic
 time: :meth:`dispatch` only feeds events, and :meth:`finish` closes the
 streams the way a standalone ``finish_stream`` would.  (The fleet-level
-*interleaving* of different homes' alerts depends on the shard layout and
-is deliberately unspecified.)
+*interleaving* of different homes' alerts is deliberately unspecified.)
 
 Telemetry stays shared-nothing too: every home's runtime records into its
 own detector's registry, and :meth:`metrics_snapshot` joins them with
@@ -30,8 +29,8 @@ default, both per-home-parity-preserving):
   content-identical reference one frozen copy (copy-on-write: the first
   context refresh forks a private one).  :meth:`memory_report` accounts
   for the savings.
-* **Batched tick** — :meth:`dispatch` stages every home's events first,
-  pre-warms each shared correlation memo once across all homes in the
+* **Batched tick** — :meth:`dispatch` stages the whole batch once,
+  pre-warms each distinct correlation memo once across all homes in the
   batch (one vectorised ``distances_many`` pass instead of per-home
   scalar scans), then drains per home.  Only the fleet-level alert
   interleaving — unspecified anyway — differs from the per-event path.
@@ -85,101 +84,16 @@ class FleetAlert:
     alert: Alert
 
 
-class FleetShard:
-    """One worker shard: the per-home runtimes hashed onto it.
-
-    A shard is deliberately dumb — it keeps a dict of runtimes and replays
-    batches into them in arrival order.  All routing decisions live in the
-    gateway; all detection state lives in the runtimes.
-    """
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.homes: Dict[str, HardenedOnlineDice] = {}
-
-    def __len__(self) -> int:
-        return len(self.homes)
-
-    def dispatch(self, batch: Iterable[Tuple[str, Event]]) -> List[FleetAlert]:
-        """Feed already-routed ``(home_id, event)`` pairs in order."""
-        fresh: List[FleetAlert] = []
-        homes = self.homes
-        for home_id, event in batch:
-            for alert in homes[home_id].ingest(event):
-                fresh.append(FleetAlert(home_id, alert))
-        return fresh
-
-    def dispatch_batched(
-        self, batch: Iterable[Tuple[str, Event]]
-    ) -> List[FleetAlert]:
-        """Batched tick: stage every home's events, pre-warm each distinct
-        correlation memo once, then drain per home.
-
-        Per-home alert sequences are byte-identical to :meth:`dispatch` —
-        staging pins quarantine bits per window and the memo warm-up is a
-        pure cache fill.  Only the fleet-level interleaving changes
-        (alerts come out grouped by home, not by event arrival), which
-        the gateway contract deliberately leaves unspecified.  When homes
-        share an interned context they also share the memo, so one
-        vectorised ``distances_many`` pass covers the whole batch's novel
-        masks across every home on the context.
-        """
-        homes = self.homes
-        staged: Dict[str, List[tuple]] = {}
-        order: List[str] = []
-        for home_id, event in batch:
-            items = staged.get(home_id)
-            if items is None:
-                items = staged[home_id] = []
-                order.append(home_id)
-            homes[home_id].stage_event(event, items)
-        warm: Dict[int, Tuple[CorrelationChecker, List[int]]] = {}
-        for home_id in order:
-            runtime = homes[home_id]
-            masks = runtime.staged_window_masks(staged[home_id])
-            if not masks:
-                continue
-            checker = runtime.backend.correlation_checker
-            if checker is None:  # backend has no correlation memo to warm
-                continue
-            entry = warm.get(id(checker))
-            if entry is None:
-                warm[id(checker)] = (checker, masks)
-            else:
-                entry[1].extend(masks)
-        for checker, masks in warm.values():
-            checker.warm(masks)
-        fresh: List[FleetAlert] = []
-        for home_id in order:
-            for alert in homes[home_id].drain_staged(staged[home_id]):
-                fresh.append(FleetAlert(home_id, alert))
-        return fresh
-
-    def advance_to(self, timestamp: float) -> List[FleetAlert]:
-        fresh: List[FleetAlert] = []
-        for home_id, runtime in self.homes.items():
-            for alert in runtime.advance_to(timestamp):
-                fresh.append(FleetAlert(home_id, alert))
-        return fresh
-
-    def finish(self, ends: Dict[str, Optional[float]]) -> List[FleetAlert]:
-        fresh: List[FleetAlert] = []
-        for home_id, runtime in self.homes.items():
-            for alert in runtime.finish_stream(ends.get(home_id)):
-                fresh.append(FleetAlert(home_id, alert))
-        return fresh
-
-
 class FleetGateway:
     """Shard router + per-home runtime registry for one fleet process.
 
     Parameters
     ----------
     num_shards:
-        Worker shard count.  Any positive value is legal for any fleet;
+        Shard label count.  Any positive value is legal for any fleet;
         the home → shard map is a pure hash, so changing the count between
-        runs (including across a checkpoint/restore cycle) only moves
-        homes between shards.
+        runs (including across a checkpoint/restore cycle) only relabels
+        homes.
     metrics:
         Registry for the *router's* counters (events routed, unrouted
         drops, homes per shard).  Defaults to a fresh private registry so
@@ -190,9 +104,9 @@ class FleetGateway:
         :class:`~repro.core.SharedContextStore`, so content-identical
         trained states are stored once (copy-on-write on divergence).
     batch_tick:
-        Use the staged, memo-prewarming :meth:`FleetShard.dispatch_batched`
-        per tick instead of per-event ingest.  Per-home alert parity is
-        pinned by the test suite; disable only to A/B the paths.
+        Stage each :meth:`dispatch` batch and pre-warm its correlation
+        memos instead of ingesting event by event.  Per-home alert parity
+        is pinned by the test suite; disable only to A/B the paths.
     context_store:
         Share an existing store (e.g. across gateways in one process);
         defaults to a fresh private one.
@@ -215,8 +129,9 @@ class FleetGateway:
         self.context_store = (
             context_store if context_store is not None else SharedContextStore()
         )
-        self.shards = [FleetShard(i) for i in range(self.num_shards)]
         self._runtimes: Dict[str, HardenedOnlineDice] = {}
+        #: home id → shard label, fixed when the home attaches.
+        self._shard_labels: Dict[str, str] = {}
         self.alerts: List[FleetAlert] = []
         self.unrouted = 0
         self.metrics = (
@@ -239,8 +154,8 @@ class FleetGateway:
             )
 
             def collect() -> None:
-                for shard in self.shards:
-                    homes_gauge.labels(shard=str(shard.index)).set(len(shard))
+                for shard, count in self.homes_per_shard().items():
+                    homes_gauge.labels(shard=shard).set(count)
 
             self.metrics.register_collector("fleet", collect)
 
@@ -299,11 +214,18 @@ class FleetGateway:
         # home identity attaches, before any event can reach the runtime.
         if runtime.provenance.enabled:
             runtime.provenance.home_id = home_id
-        shard = self.shards[shard_of(home_id, self.num_shards)]
-        shard.homes[home_id] = runtime
+        shard = str(shard_of(home_id, self.num_shards))
         self._runtimes[home_id] = runtime
-        _log.debug("home_added", home=home_id, shard=shard.index)
+        self._shard_labels[home_id] = shard
+        _log.debug("home_added", home=home_id, shard=shard)
         return runtime
+
+    def homes_per_shard(self) -> Dict[str, int]:
+        """Hosted homes per shard label (every label, empty ones too)."""
+        counts = {str(index): 0 for index in range(self.num_shards)}
+        for shard in self._shard_labels.values():
+            counts[shard] += 1
+        return counts
 
     # ------------------------------------------------------------------ #
     # Event flow
@@ -314,32 +236,60 @@ class FleetGateway:
     ) -> List[FleetAlert]:
         """Route one tick's batch of ``(home_id, event)`` pairs.
 
-        Events are grouped per shard **preserving each home's arrival
-        order**, then every shard drains its sub-batch; shards are
-        processed in index order.  Events addressed to homes this fleet
-        does not host are counted (``dice_fleet_unrouted_total``) and
-        dropped — a router must never crash on a stray tenant id.
+        Each home sees its events in arrival order.  With the batched tick
+        the whole batch is staged first, each distinct correlation memo is
+        warmed once with every staged window that will consult it, and
+        then every home drains its staged items — alerts come out grouped
+        by home, an interleaving the gateway contract leaves unspecified.
+        Staging pins quarantine bits per window and warming is a pure
+        cache fill, so per-home alert sequences match per-event ingest
+        exactly.  Events addressed to homes this fleet does not host are
+        counted (``dice_fleet_unrouted_total``) and dropped — a router
+        must never crash on a stray tenant id.
         """
-        batches: List[List[Tuple[str, Event]]] = [[] for _ in self.shards]
-        routed = [0] * self.num_shards
+        runtimes = self._runtimes
+        labels = self._shard_labels
+        batch_tick = self.batch_tick
+        routed: Dict[str, int] = {}
+        staged: Dict[str, List[tuple]] = {}
+        fresh: List[FleetAlert] = []
         for home_id, event in events:
-            if home_id not in self._runtimes:
+            runtime = runtimes.get(home_id)
+            if runtime is None:
                 self.unrouted += 1
                 self._unrouted_counter.inc()
                 continue
-            index = shard_of(home_id, self.num_shards)
-            batches[index].append((home_id, event))
-            routed[index] += 1
-        fresh: List[FleetAlert] = []
-        for shard, batch in zip(self.shards, batches):
-            if batch:
-                if self.batch_tick:
-                    fresh.extend(shard.dispatch_batched(batch))
-                else:
-                    fresh.extend(shard.dispatch(batch))
-        for index, count in enumerate(routed):
-            if count:
-                self._events_counter.labels(shard=str(index)).inc(count)
+            shard = labels[home_id]
+            routed[shard] = routed.get(shard, 0) + 1
+            if not batch_tick:
+                for alert in runtime.ingest(event):
+                    fresh.append(FleetAlert(home_id, alert))
+                continue
+            items = staged.get(home_id)
+            if items is None:
+                items = staged[home_id] = []
+            runtime.stage_event(event, items)
+        warm: Dict[int, Tuple[CorrelationChecker, List[int]]] = {}
+        for home_id, items in staged.items():
+            runtime = runtimes[home_id]
+            checker = runtime.backend.correlation_checker
+            if checker is None:  # backend has no correlation memo to warm
+                continue
+            masks = runtime.staged_window_masks(items)
+            if not masks:
+                continue
+            entry = warm.get(id(checker))
+            if entry is None:
+                warm[id(checker)] = (checker, masks)
+            else:
+                entry[1].extend(masks)
+        for checker, masks in warm.values():
+            checker.warm(masks)
+        for home_id, items in staged.items():
+            for alert in runtimes[home_id].drain_staged(items):
+                fresh.append(FleetAlert(home_id, alert))
+        for shard, count in routed.items():
+            self._events_counter.labels(shard=shard).inc(count)
         self._dispatch_counter.inc()
         self.alerts.extend(fresh)
         return fresh
@@ -352,9 +302,11 @@ class FleetGateway:
         the parity-pinned drivers (tests, bench, CLI) are therefore purely
         event-driven and call :meth:`finish` once at end-of-stream.
         """
-        fresh: List[FleetAlert] = []
-        for shard in self.shards:
-            fresh.extend(shard.advance_to(timestamp))
+        fresh = [
+            FleetAlert(home_id, alert)
+            for home_id, runtime in self._runtimes.items()
+            for alert in runtime.advance_to(timestamp)
+        ]
         self.alerts.extend(fresh)
         return fresh
 
@@ -367,13 +319,14 @@ class FleetGateway:
         or ``None`` (flush buffers and conclude sessions without closing
         a quiet tail).
         """
-        if ends is None or isinstance(ends, (int, float)):
-            per_home = {home_id: ends for home_id in self._runtimes}
-        else:
-            per_home = {home_id: ends.get(home_id) for home_id in self._runtimes}
-        fresh: List[FleetAlert] = []
-        for shard in self.shards:
-            fresh.extend(shard.finish(per_home))
+        single = ends is None or isinstance(ends, (int, float))
+        fresh = [
+            FleetAlert(home_id, alert)
+            for home_id, runtime in self._runtimes.items()
+            for alert in runtime.finish_stream(
+                ends if single else ends.get(home_id)
+            )
+        ]
         self.alerts.extend(fresh)
         return fresh
 
@@ -455,7 +408,7 @@ class FleetGateway:
         for home_id in sorted(self._runtimes):
             runtime = self._runtimes[home_id]
             homes[home_id] = {
-                "shard": shard_of(home_id, self.num_shards),
+                "shard": self.shard_index_of(home_id),
                 "backend": runtime.backend.name,
                 "alerts": len(runtime.alerts),
                 "drops": runtime.drops.total,
@@ -464,9 +417,7 @@ class FleetGateway:
         return {
             "num_shards": self.num_shards,
             "num_homes": len(self._runtimes),
-            "homes_per_shard": {
-                str(shard.index): len(shard) for shard in self.shards
-            },
+            "homes_per_shard": self.homes_per_shard(),
             "alerts": alert_counts,
             "unrouted": self.unrouted,
             "contexts": self.context_store.stats(),

@@ -2,12 +2,10 @@
 
 from .checkpoint import (
     CHECKPOINT_VERSION,
-    COMPATIBLE_VERSIONS,
     CheckpointError,
     checkpoint_state,
     load_checkpoint,
     model_fingerprint,
-    restore_from_file,
     restore_runtime,
     save_checkpoint,
 )
@@ -52,12 +50,10 @@ from .windower import OnlineWindower, WindowSnapshot
 __all__ = [
     "ALERTS_TOTAL",
     "CHECKPOINT_VERSION",
-    "COMPATIBLE_VERSIONS",
     "CheckpointError",
     "checkpoint_state",
     "load_checkpoint",
     "model_fingerprint",
-    "restore_from_file",
     "restore_runtime",
     "save_checkpoint",
     "ALL_DROP_REASONS",

@@ -29,14 +29,11 @@ from ..core import DetectorBackend, DiceDetector, as_backend
 
 _log = telemetry.get_logger("repro.streaming.checkpoint")
 
-#: Version 2 added the ``telemetry`` counters payload; version 3 added the
-#: context-refresh state (``runtime["refresh"]``); version 4 added the
-#: alert-provenance recorder state (``runtime["provenance"]``); version 5
-#: added the ``backend`` name stamp (absent means ``dice``).  Older
-#: snapshots load fine — counters restart from zero, refresh state resets
-#: to idle, the provenance ring starts empty with ``seq`` 0.
-CHECKPOINT_VERSION = 5
-COMPATIBLE_VERSIONS = frozenset({1, 2, 3, 4, 5})
+#: The only snapshot version restore accepts.  Version 6 stores every
+#: backend's transient state in the shared ``DetectorBackend`` layout
+#: (``session``, ``session_trigger`` and a payload under the backend's
+#: name); snapshots written by earlier versions are rejected.
+CHECKPOINT_VERSION = 6
 
 
 class CheckpointError(ValueError):
@@ -82,21 +79,20 @@ def restore_runtime(
 
     ``runtime_kwargs`` pass through to the :class:`HardenedOnlineDice`
     constructor.  The snapshot itself restores the reorder buffer's
-    lateness/capacity, but the supervisor *policy* is not serialized —
-    a caller that ran with a non-default policy must supply it again here
-    (the CLI's resume path does).
+    lateness/capacity and the supervisor policy, so those overrides only
+    shape the runtime until its state loads.
     """
     from .runtime import HardenedOnlineDice
 
     if not isinstance(state, dict) or "version" not in state:
         raise CheckpointError("not a checkpoint snapshot")
-    if state["version"] not in COMPATIBLE_VERSIONS:
+    if state["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint version {state['version']} not in "
-            f"{sorted(COMPATIBLE_VERSIONS)}"
+            f"checkpoint version {state['version']} is not the supported "
+            f"version {CHECKPOINT_VERSION}"
         )
     backend = as_backend(detector)
-    recorded = state.get("backend", "dice")
+    recorded = state.get("backend")
     if recorded != backend.name:
         raise CheckpointError(
             f"checkpoint was written by backend {recorded!r} but restore "
@@ -152,11 +148,3 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> dict:
             f"corrupt checkpoint {os.fspath(path)}: {exc}"
         ) from exc
 
-
-def restore_from_file(
-    detector: Union[DiceDetector, DetectorBackend],
-    path: Union[str, os.PathLike],
-    **runtime_kwargs,
-):
-    """``restore_runtime(load_checkpoint(path))`` convenience."""
-    return restore_runtime(detector, load_checkpoint(path), **runtime_kwargs)

@@ -252,9 +252,10 @@ class ContextRefresher:
         The detector handed to a restore is freshly fitted (checkpoints
         never carry the model); re-applying the recorded batches in order
         reproduces the same interned group ids and merged transition
-        counts as the original run.  ``None`` (a pre-refresh checkpoint)
-        resets to idle.  Telemetry counters are restored separately via
-        the checkpoint's counters snapshot, so re-apply does not count.
+        counts as the original run.  ``None`` (a snapshot taken without a
+        refresher) resets to idle.  Telemetry counters are restored
+        separately via the checkpoint's counters snapshot, so re-apply does
+        not count.
         """
         self._phase = _IDLE
         self._recent.clear()

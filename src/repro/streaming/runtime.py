@@ -324,11 +324,8 @@ class OnlineDice:
     # ------------------------------------------------------------------ #
 
     def state_dict(self) -> dict:
-        """JSON-serializable detector-side streaming state.
-
-        The backend's transient keys are merged in flat, so DICE-backed
-        snapshots keep the exact pre-backend layout (checkpoint v1-v4
-        compatibility)."""
+        """JSON-serializable detector-side streaming state (the backend's
+        transient keys are merged in flat)."""
         state = {"windower": self.windower.state_dict()}
         state.update(self.backend.checkpoint_state())
         state["provenance"] = self.provenance.state_dict()
@@ -337,8 +334,7 @@ class OnlineDice:
     def load_state(self, state: dict) -> None:
         self.windower.load_state(state["windower"])
         self.backend.load_state(state)
-        # Pre-provenance checkpoints (v1-v3) simply lack the key.
-        self.provenance.load_state(state.get("provenance"))
+        self.provenance.load_state(state["provenance"])
 
 
 class HardenedOnlineDice(OnlineDice):
@@ -722,8 +718,7 @@ class HardenedOnlineDice(OnlineDice):
         self.reorder.log = self.drops
         self.reorder.load_state(state["reorder"])
         self.supervisor.load_state(state["supervisor"])
-        # Pre-refresh checkpoints (v1/v2) simply lack the key.
-        self.refresher.load_state(state.get("refresh"))
+        self.refresher.load_state(state["refresh"])
 
     def checkpoint(self) -> dict:
         """Versioned, JSON-serializable snapshot of the full online state."""

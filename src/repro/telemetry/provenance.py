@@ -166,8 +166,8 @@ class ProvenanceRecorder:
         }
 
     def load_state(self, state: Optional[dict]) -> None:
-        """Restore from :meth:`state_dict`; ``None`` (a pre-provenance
-        checkpoint) resets to empty."""
+        """Restore from :meth:`state_dict`; ``None`` (a snapshot taken with
+        provenance off) resets to empty."""
         self._ring.clear()
         self._unjournaled.clear()
         self.chain = []

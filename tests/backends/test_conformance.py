@@ -28,9 +28,10 @@ from repro import telemetry
 from repro.core import create_backend
 from repro.core.backend import _BatchWindow
 from repro.faults import (
-    baseline_standalone,
     build_chaos_deployment,
-    run_standalone_trial,
+    fleet_oracle,
+    one_home_stream,
+    run_fleet_trial,
 )
 from repro.streaming import (
     HardenedOnlineDice,
@@ -195,10 +196,12 @@ class TestQuarantineMasking:
 class TestChaosRecovery:
     def test_crash_recovery_reaches_alert_parity(self, backend_name, tmp_path):
         deployment = build_chaos_deployment(42, backend=backend_name)
-        expected = baseline_standalone(deployment)
+        stream = one_home_stream(deployment)
+        expected, _ = fleet_oracle([deployment], stream)
         n = len(deployment.events)
-        result = run_standalone_trial(
-            deployment,
+        result = run_fleet_trial(
+            [deployment],
+            stream,
             expected,
             str(tmp_path),
             kill_index=(3 * n) // 4,

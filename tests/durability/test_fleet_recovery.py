@@ -10,8 +10,8 @@ import pytest
 from repro.durability import DURABILITY_SIDECAR, DurableFleetGateway
 from repro.streaming import CheckpointError
 from repro.faults import (
-    baseline_fleet,
     build_chaos_fleet,
+    fleet_oracle,
     run_chaos_fleet,
     run_fleet_trial,
 )
@@ -20,7 +20,7 @@ from repro.faults import (
 @pytest.fixture(scope="module")
 def fleet():
     deployments, merged = build_chaos_fleet(7, num_homes=3)
-    return deployments, merged, baseline_fleet(deployments, merged)
+    return deployments, merged, fleet_oracle(deployments, merged)[0]
 
 
 class TestChaosBatch:

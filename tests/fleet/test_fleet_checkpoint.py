@@ -13,8 +13,10 @@ import random
 
 import pytest
 
+from repro.durability import DURABILITY_SIDECAR, load_durability_sidecar
 from repro.fleet import (
     MANIFEST_NAME,
+    MANIFEST_SCHEMA,
     FleetGateway,
     build_fleet_homes,
     load_fleet_manifest,
@@ -169,14 +171,20 @@ def test_restore_names_home_with_fingerprint_mismatch(
 
 def test_manifest_validation_rejects_garbage(tmp_path):
     path = tmp_path / MANIFEST_NAME
-    path.write_text(json.dumps({"schema": "something-else/9"}))
-    with pytest.raises(CheckpointError, match="not a fleet manifest"):
-        load_fleet_manifest(tmp_path)
+    # Only the current schema restores; earlier manifests are refused by
+    # name, like any foreign document.
+    for schema in ("something-else/9", "dice-fleet-manifest/1", "dice-fleet-manifest/2"):
+        path.write_text(
+            json.dumps({"schema": schema, "num_shards": 2, "homes": {}})
+        )
+        with pytest.raises(CheckpointError, match="not a fleet manifest") as exc:
+            load_fleet_manifest(tmp_path)
+        assert schema in str(exc.value) and str(path) in str(exc.value)
 
     path.write_text(
         json.dumps(
             {
-                "schema": "dice-fleet-manifest/1",
+                "schema": MANIFEST_SCHEMA,
                 "num_shards": 2,
                 "homes": {"h": {"file": "../outside.json"}},
             }
@@ -184,3 +192,11 @@ def test_manifest_validation_rejects_garbage(tmp_path):
     )
     with pytest.raises(CheckpointError, match="escapes"):
         load_fleet_manifest(tmp_path)
+
+    # The durability sidecar beside the manifest is held to its current
+    # schema the same way.
+    sidecar = tmp_path / DURABILITY_SIDECAR
+    sidecar.write_text(json.dumps({"schema": "dice-fleet-durability/1"}))
+    with pytest.raises(CheckpointError, match="dice-fleet-durability/1") as exc:
+        load_durability_sidecar(tmp_path)
+    assert str(sidecar) in str(exc.value)

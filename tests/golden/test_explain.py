@@ -42,7 +42,7 @@ class TestProvenanceDeterminism:
         # session state live), --resume picks it up past the watermark and
         # finishes.  The resumed run's archive must match the full run's.
         full = _stream(tmp_path, "full.jsonl")
-        ckpt = str(tmp_path / "cut.ckpt.json")
+        ckpt = str(tmp_path / "cut.ckpt")
         _stream(tmp_path, "part.jsonl", "--save-checkpoint", ckpt)
         resumed = _stream(tmp_path, "resumed.jsonl", "--resume", ckpt)
         with open(full, "rb") as a, open(resumed, "rb") as b:
@@ -102,7 +102,9 @@ class TestExplainJournal:
     def test_explain_reads_the_durable_archive(self, tmp_path, capsys):
         journal_dir = str(tmp_path / "journal")
         _stream(tmp_path, "prov.jsonl", "--journal-dir", journal_dir)
-        assert os.path.exists(os.path.join(journal_dir, "provenance.wal"))
+        assert os.path.exists(
+            os.path.join(journal_dir, regen.DATASET, "provenance.wal")
+        )
         committed = json.loads(_committed_explain())
         capsys.readouterr()
         assert main(

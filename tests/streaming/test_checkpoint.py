@@ -20,7 +20,6 @@ from repro.streaming import (
     HardenedOnlineDice,
     SupervisorPolicy,
     load_checkpoint,
-    restore_from_file,
     restore_runtime,
     save_checkpoint,
 )
@@ -208,7 +207,7 @@ class TestCheckpointFile:
         path = tmp_path / "gateway.ckpt.json"
         save_checkpoint(runtime, path)
         assert path.exists()
-        resumed = restore_from_file(detector, path)
+        resumed = restore_runtime(detector, load_checkpoint(path))
         assert resumed.state_dict() == runtime.state_dict()
 
     def test_version_mismatch_rejected(self, detector, live_events, tmp_path):
@@ -216,9 +215,11 @@ class TestCheckpointFile:
         path = tmp_path / "gateway.ckpt.json"
         save_checkpoint(runtime, path)
         state = load_checkpoint(path)
-        state["version"] = 999
-        with pytest.raises(CheckpointError):
-            restore_runtime(detector, state)
+        # Only the current version restores; every earlier one is refused.
+        for version in (1, 2, 3, 4, 5, 999):
+            state["version"] = version
+            with pytest.raises(CheckpointError, match=f"version {version} "):
+                restore_runtime(detector, state)
 
     def test_model_mismatch_rejected(self, detector, registry, tmp_path):
         runtime = _runtime(detector, 0.0)
@@ -256,27 +257,14 @@ class TestCheckpointFile:
         path = tmp_path / "gateway.ckpt.json"
         save_checkpoint(runtime, path)
         state = load_checkpoint(path)
-        assert state["version"] == CHECKPOINT_VERSION == 5
+        assert state["version"] == CHECKPOINT_VERSION == 6
         assert state["runtime"]["provenance"] is not None
-        resumed = restore_from_file(detector, path)
+        resumed = restore_runtime(detector, load_checkpoint(path))
         assert [
             canonical_record_bytes(r) for r in resumed.provenance.records()
         ] == [canonical_record_bytes(r) for r in runtime.provenance.records()]
         assert resumed.provenance.seq == runtime.provenance.seq
         assert resumed.provenance.chain == runtime.provenance.chain
-
-    def test_pre_provenance_checkpoint_restores_empty_recorder(
-        self, detector, live_events, tmp_path
-    ):
-        # A v1-v3 checkpoint has no ``provenance`` section; restoring one
-        # must reset the recorder, not crash.
-        runtime = _runtime(detector, 3.0 * HOUR)
-        runtime.ingest_many(_adversarial(live_events, seed=5))
-        state = runtime.checkpoint()
-        del state["runtime"]["provenance"]
-        resumed = restore_runtime(detector, state)
-        assert resumed.provenance.records() == []
-        assert resumed.provenance.seq == 0
 
     def test_truncated_file_raises_checkpoint_error(
         self, detector, live_events, tmp_path

@@ -215,14 +215,3 @@ class TestCheckpointWithRefresh:
 
         with pytest.raises(CheckpointError):
             restore_runtime(runtime.detector, snapshot, refresh=ENABLED)
-
-    def test_pre_refresh_checkpoint_still_loads(self, registry, drifted_trace):
-        # A v2-era snapshot has no "refresh" key: load_state(None) resets.
-        start = 3.0 * HOUR
-        runtime = _runtime(_fit(registry, drifted_trace), RefreshPolicy())
-        runtime.ingest_many(list(drifted_trace.slice(start, 4.0 * HOUR)))
-        snapshot = json.loads(json.dumps(runtime.checkpoint()))
-        snapshot["runtime"].pop("refresh", None)
-        snapshot.pop("refresh", None)
-        resumed = restore_runtime(_fit(registry, drifted_trace), snapshot)
-        assert resumed.refresher.stats()["applied"] == 0

@@ -186,19 +186,6 @@ class TestCheckpointedCounters:
         restored = resumed.metrics.snapshot()["metrics"]["dice_windows_total"]
         assert restored["series"] == windows["series"]
 
-    def test_v1_snapshot_still_loads(self, registry, cyclic_trace):
-        runtime = self._replayed_runtime(registry, cyclic_trace)
-        state = json.loads(json.dumps(runtime.checkpoint()))
-        state["version"] = 1
-        del state["telemetry"]
-
-        fresh = _fit(registry, cyclic_trace, telemetry.MetricsRegistry())
-        resumed = restore_runtime(fresh, state)
-        # Runtime state restored; counters simply restart from zero.
-        assert resumed.state_dict() == runtime.state_dict()
-        snap = resumed.metrics.snapshot()["metrics"]
-        assert snap["dice_windows_total"]["series"][0]["value"] == 0
-
     def test_disabled_metrics_checkpoint_has_no_telemetry(
         self, registry, cyclic_trace
     ):

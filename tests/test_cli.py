@@ -71,9 +71,9 @@ class TestStream:
         assert "non_finite_value" in out
 
     def test_checkpoint_save_then_resume(self, tmp_path, capsys):
-        ckpt = tmp_path / "gateway.json"
+        ckpt = tmp_path / "gateway-ckpt"
         assert main(self.ARGS + ["--save-checkpoint", str(ckpt)]) == 0
-        assert ckpt.exists()
+        assert (ckpt / "manifest.json").exists()
         # Diagnostics go through the structured logger on stderr; stdout
         # stays reserved for the stream summary.
         captured = capsys.readouterr()
@@ -114,7 +114,7 @@ class TestStream:
 
     def test_journal_checkpoint_then_resume(self, tmp_path, capsys):
         journal = tmp_path / "journal"
-        ckpt = tmp_path / "gateway.json"
+        ckpt = tmp_path / "gateway-ckpt"
         args = self.ARGS + ["--journal-dir", str(journal)]
         assert main(args + ["--save-checkpoint", str(ckpt)]) == 0
         capsys.readouterr()
@@ -124,8 +124,11 @@ class TestStream:
         assert "streamed" in captured.out
 
     def test_corrupt_checkpoint_is_one_actionable_line(self, tmp_path, capsys):
-        ckpt = tmp_path / "bad.json"
-        ckpt.write_text("{torn mid-write")
+        ckpt = tmp_path / "bad-ckpt"
+        assert main(self.ARGS + ["--save-checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        (snapshot,) = [p for p in ckpt.iterdir() if p.name != "manifest.json"]
+        snapshot.write_text("{torn mid-write")
         journal = tmp_path / "journal"
         code = main(
             self.ARGS
@@ -153,7 +156,7 @@ class TestStream:
     def test_json_log_format(self, tmp_path, capsys):
         import json
 
-        ckpt = tmp_path / "gateway.json"
+        ckpt = tmp_path / "gateway-ckpt"
         code = main(
             ["--log-format", "json"]
             + self.ARGS
@@ -211,6 +214,27 @@ class TestFleet:
 
     def test_resume_garbage_exit_2(self, tmp_path):
         assert main(self.ARGS + ["--resume", str(tmp_path / "nope")]) == 2
+
+
+class TestExplain:
+    def test_journal_root_covers_every_fleet_home(self, tmp_path, capsys):
+        from repro.durability import ProvenanceLog
+
+        journal = tmp_path / "wal"
+        assert main(TestFleet.ARGS + ["--journal-dir", str(journal)]) == 0
+        capsys.readouterr()
+        for home in ("home-0000", "home-0001"):
+            records = ProvenanceLog(journal / home).records()
+            assert records, f"{home} must archive evidence"
+            record = records[-1]
+            code = main(
+                ["explain", record["id"][:16], "--journal-dir", str(journal), "--json"]
+            )
+            assert code == 0
+            assert json.loads(capsys.readouterr().out) == record
+
+    def test_journal_root_without_archives_exit_2(self, tmp_path):
+        assert main(["explain", "--last", "--journal-dir", str(tmp_path)]) == 2
 
 
 class TestChaos:
