@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import telemetry
-from ..core import DiceConfig, DiceDetector
+from ..core import DiceBackend, DiceConfig, DiceDetector
 from ..core.checks import CorrelationChecker
 from ..core.encoding import BitLayout, WindowedTrace
 from ..core.groups import GroupRegistry
@@ -366,7 +366,9 @@ def _fitted_segment(
 def bench_detector_segment(
     n_groups: int, n_windows: int, num_bits: int, seed: int
 ) -> Dict:
-    """Full ``process_windows`` (all four stages) batch vs scalar."""
+    """Full segment pipeline (all four stages): the per-window streamed
+    path (``observe_window``, memoised scalar check) vs ``process_windows``
+    (one ``check_many`` pass), both through the same loop."""
     # NULL_REGISTRY keeps these trajectory numbers telemetry-free; the
     # instrumentation cost is measured separately by :func:`bench_telemetry`.
     detector, segment = _fitted_segment(
@@ -376,17 +378,14 @@ def bench_detector_segment(
     # Clear the memo before each timed run so both paths start cold.
     detector._correlation_checker.clear_cache()
     t0 = time.perf_counter()
-    scalar_report = detector.process_windows(segment, batch=False)
+    scalar_alerts = DiceBackend(detector).stream_segment(segment)
     scalar_s = time.perf_counter() - t0
     detector._correlation_checker.clear_cache()
     t0 = time.perf_counter()
-    batch_report = detector.process_windows(segment, batch=True)
+    batch_report = detector.process_windows(segment)
     batch_s = time.perf_counter() - t0
-    if (
-        scalar_report.detections != batch_report.detections
-        or scalar_report.identifications != batch_report.identifications
-    ):
-        raise AssertionError("batch and scalar segment reports disagree")
+    if scalar_alerts != batch_report.alerts:
+        raise AssertionError("streamed and batch segment alerts disagree")
     return {
         "groups": int(n_groups),
         "windows": int(n_windows),
@@ -420,7 +419,7 @@ def bench_telemetry(
         # the registry once per segment, inside the measured region.
         detector._correlation_checker.clear_cache()
         t0 = time.perf_counter()
-        report = detector.process_windows(segment, batch=True)
+        report = detector.process_windows(segment)
         return time.perf_counter() - t0, report
 
     enabled_s = disabled_s = float("inf")

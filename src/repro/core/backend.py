@@ -14,8 +14,13 @@ The contract per backend:
   drives (all backends reuse the paper's Eq. 3.1-3.4 encoding);
 * ``check(snapshot, qbits)`` — one window's verdict.  ``qbits`` are
   state-set bits owned by quarantined sensors; a backend must ignore them;
+* ``check_windows(windowed, timings)`` — optional batch-check hook: a
+  whole segment's verdicts in one call (DICE: one vectorised
+  ``check_many``); without it a segment is checked window by window;
 * ``identify(verdict, snapshot)`` — the probable-faulty device set a
-  violating window contributes to the shared identification session;
+  violating window contributes to the shared identification session.  It
+  reads what it needs from the verdict: on the batch path the backend's
+  streaming state has already moved past the window;
 * ``checkpoint_state()`` / ``load_state(state)`` — JSON round-trip of the
   backend's transient streaming state (the fitted model is *not* included,
   mirroring the runtime checkpoint contract);
@@ -33,6 +38,9 @@ Three backends register here:
   observed in training;
 * ``ensemble`` — N child backends voting on alerts with a quorum.
 
+The base class owns the only detect-then-identify loop (§3.3-3.4,
+Fig. 3.2): :meth:`DetectorBackend.observe_window` runs it on one streamed
+window, :meth:`DetectorBackend.run_segment` on a whole batch segment.
 Every registered backend is automatically run through the conformance
 suite in ``tests/backends/``.
 """
@@ -41,12 +49,13 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
     FrozenSet,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -63,6 +72,7 @@ from .detector import (
     STAGE_SECONDS_HISTOGRAM,
     TRANSITION_CHECK,
     DiceDetector,
+    StageTimings,
 )
 from .encoding import StateSetEncoder, WindowedTrace
 from .identification import IdentificationSession, ProbableFaultSet
@@ -77,8 +87,10 @@ ENSEMBLE_CHECK = "ensemble"
 
 @dataclass(frozen=True)
 class BackendAlert:
-    """One alert a backend raises; the runtime re-wraps it as a streaming
-    :class:`~repro.streaming.Alert` without touching any field."""
+    """One alert the detect-then-identify loop raises at the end of its
+    deciding window.  An identification also carries its session's
+    ``windows_used`` and whether a criticality weight fired it early
+    (Ch. VI); the streaming :class:`~repro.streaming.Alert` drops both."""
 
     kind: str  # "detection" or "identification"
     time: float
@@ -86,16 +98,18 @@ class BackendAlert:
     cases: Tuple[TransitionCase, ...] = ()
     devices: FrozenSet[str] = frozenset()
     converged: bool = True
+    windows_used: int = 0
+    weighted_early: bool = False
 
 
-@dataclass(frozen=True)
-class WindowVerdict:
+class WindowVerdict(NamedTuple):
     """One window's check outcome.
 
     ``payload`` is backend-private evidence (whatever ``identify`` and
     ``window_evidence`` need); ``drift_signal`` feeds the context-refresh
     drift monitor and is deliberately distinct from ``violation`` — for
-    DICE only *correlation* violations indicate drifted contexts.
+    DICE only *correlation* violations indicate drifted contexts.  A named
+    tuple: one is built per streamed window, too often for a dataclass.
     """
 
     violation: bool
@@ -114,25 +128,46 @@ class WindowOutcome:
     drift_signal: bool = False
 
 
-@dataclass(frozen=True)
-class _BatchWindow:
-    """Duck-typed window snapshot for the batch replay path (kept local so
+class _BatchWindow(NamedTuple):
+    """Duck-typed window snapshot for the batch path (kept local so
     ``repro.core`` never imports ``repro.streaming``)."""
 
     index: int
     start: float
     end: float
     mask: int
-    actuator_activations: FrozenSet[str] = field(default_factory=frozenset)
+    actuator_activations: FrozenSet[str] = frozenset()
+
+
+class _SegmentWindows:
+    """A segment's :class:`_BatchWindow` snapshots, built on demand (the
+    loop only looks at windows that alert or feed identify)."""
+
+    def __init__(self, windowed: WindowedTrace) -> None:
+        self.windowed = windowed
+
+    def __getitem__(self, i: int) -> _BatchWindow:
+        w = self.windowed
+        start = w.window_start(i)
+        end = start + w.window_seconds
+        return _BatchWindow(i, start, end, w.masks[i], w.actuator_activations[i])
+
+
+#: What a window without a violation feeds an open session (§3.4).
+_NO_EVIDENCE = ProbableFaultSet(frozenset())
+
+#: DICE's batch verdict for a window without a violation: nothing reads
+#: its payload, so every such window shares it.
+_PASS = WindowVerdict(False)
 
 
 class DetectorBackend:
-    """Base class: the shared identification-session state machine plus the
-    checkpoint plumbing; subclasses supply ``fit``/``check``/``identify``.
+    """Base class: the detect-then-identify loop plus the checkpoint
+    plumbing; subclasses supply ``fit``/``check``/``identify``.
 
-    The session template in :meth:`observe_window` is *the* semantics both
-    the batch driver and the streaming runtime agree on — subclassing it is
-    what makes streaming==batch parity hold for free for a new backend.
+    :meth:`_session_loop` is *the* semantics the batch path and the
+    streaming runtime agree on — subclassing it is what makes
+    streaming==batch parity hold for free for a new backend.
     """
 
     #: Registry name; subclasses override.
@@ -186,6 +221,15 @@ class DetectorBackend:
         """Check one completed window (must not mutate streaming state)."""
         raise NotImplementedError
 
+    def check_windows(
+        self, windowed: WindowedTrace, timings: StageTimings
+    ) -> Optional[List[WindowVerdict]]:
+        """Batch-check hook: every window's verdict in one call, advancing
+        the streaming state past the whole segment (so ``identify`` must
+        read what it needs from the verdict).  ``None``, the default: the
+        backend checks one window at a time with :meth:`check`."""
+        return None
+
     def identify(self, verdict: WindowVerdict, snapshot) -> ProbableFaultSet:
         """Probable faulty devices a violating window contributes (§3.4)."""
         raise NotImplementedError
@@ -193,53 +237,69 @@ class DetectorBackend:
     def _post_window(self, snapshot, verdict: WindowVerdict, qbits: int) -> None:
         """Hook: advance backend streaming state after a window concludes."""
 
-    def observe_window(self, snapshot, qbits: int = 0) -> WindowOutcome:
-        """Run one window through check + the identification session.
+    def _session_loop(
+        self, windows, verdicts: Sequence[WindowVerdict]
+    ) -> Tuple[List[BackendAlert], float]:
+        """The paper's real-time state machine over a run of checked windows.
 
-        This is the exact state machine of the paper's real-time phase
-        (and of ``DiceDetector.process``): a violation with no session
-        open raises a detection and opens a session; while a session is
-        open every window feeds it probable-faulty evidence; a converged
-        (or exhausted) session concludes with an identification.
+        A violation with no session open raises a detection and opens an
+        identification session; while a session is open every window feeds
+        it probable-faulty evidence (§3.4: fresh detections are skipped); a
+        converged (or exhausted) session concludes with an identification.
+        ``windows[i]`` is looked up only for a window that alerts or feeds
+        :meth:`identify`.  Returns the alerts and the seconds spent in
+        ``identify`` and the session.
         """
-        verdict = self.check(snapshot, qbits)
         alerts: List[BackendAlert] = []
-        t0 = time.perf_counter()
-        if self._session is None:
-            if verdict.violation:
+        session = self._session
+        trigger = self._session_trigger
+        clock = time.perf_counter
+        spent = 0.0
+        for i, verdict in enumerate(verdicts):
+            if session is None:
+                if not verdict.violation:
+                    continue
+                window = windows[i]
+                alerts.append(
+                    BackendAlert("detection", window.end, verdict.check, verdict.cases)
+                )
+                t0 = clock()
+                session = IdentificationSession(
+                    self.config, self.identify(verdict, window), self.weights
+                )
+                spent += clock() - t0
+                trigger = verdict.check
+            else:
+                t0 = clock()
+                session.update(
+                    self.identify(verdict, windows[i])
+                    if verdict.violation
+                    else _NO_EVIDENCE
+                )
+                spent += clock() - t0
+            if session.is_done:
+                outcome = session.outcome
                 alerts.append(
                     BackendAlert(
-                        "detection",
-                        snapshot.end,
-                        check=verdict.check,
-                        cases=verdict.cases,
+                        "identification",
+                        windows[i].end,
+                        check=trigger,
+                        devices=outcome.devices,
+                        converged=outcome.converged,
+                        windows_used=outcome.windows_used,
+                        weighted_early=outcome.weighted_early,
                     )
                 )
-                probable = self.identify(verdict, snapshot)
-                self._session = IdentificationSession(
-                    self.config, probable, self.weights
-                )
-                self._session_trigger = verdict.check
-        else:
-            if verdict.violation:
-                probable = self.identify(verdict, snapshot)
-            else:
-                probable = ProbableFaultSet(frozenset())
-            self._session.update(probable)
+                session = None
+        self._session = session
+        self._session_trigger = trigger
+        return alerts, spent
 
-        if self._session is not None and self._session.is_done:
-            outcome = self._session.outcome
-            alerts.append(
-                BackendAlert(
-                    "identification",
-                    snapshot.end,
-                    check=self._session_trigger,
-                    devices=outcome.devices,
-                    converged=outcome.converged,
-                )
-            )
-            self._session = None
-        self._stage_obs["identification"].observe(time.perf_counter() - t0)
+    def observe_window(self, snapshot, qbits: int = 0) -> WindowOutcome:
+        """Check one streamed window and run it through the loop."""
+        verdict = self.check(snapshot, qbits)
+        alerts, seconds = self._session_loop((snapshot,), (verdict,))
+        self._stage_obs["identification"].observe(seconds)
         self._post_window(snapshot, verdict, qbits)
         return WindowOutcome(
             tuple(alerts), verdict.violation, verdict.drift_signal
@@ -255,11 +315,46 @@ class DetectorBackend:
             check=self._session_trigger,
             devices=self._session.intersection,
             converged=False,
+            windows_used=self._session.windows_used,
         )
         self._session = None
         return alert
 
-    # -- batch replay (the differential oracle's other arm) -------------- #
+    # -- batch segments -------------------------------------------------- #
+
+    def run_segment(
+        self, windowed: WindowedTrace, timings: StageTimings
+    ) -> List[BackendAlert]:
+        """A whole segment through the loop, then the tail flush: checked
+        in one :meth:`check_windows` call when the backend has one, else
+        window by window (:meth:`stream_segment`).  Adds the window count
+        and the identification seconds to *timings*."""
+        timings.windows += len(windowed)
+        verdicts = self.check_windows(windowed, timings)
+        if verdicts is None:
+            return self.stream_segment(windowed)
+        alerts, seconds = self._session_loop(_SegmentWindows(windowed), verdicts)
+        timings.identification_s += seconds
+        return self._flush(windowed, alerts)
+
+    def stream_segment(self, windowed: WindowedTrace) -> List[BackendAlert]:
+        """A segment window by window through :meth:`observe_window` (the
+        streamed path), then the tail flush."""
+        windows = _SegmentWindows(windowed)
+        alerts: List[BackendAlert] = []
+        for i in range(len(windowed)):
+            alerts.extend(self.observe_window(windows[i]).alerts)
+        return self._flush(windowed, alerts)
+
+    def _flush(
+        self, windowed: WindowedTrace, alerts: List[BackendAlert]
+    ) -> List[BackendAlert]:
+        # The segment ends where its last window does.
+        end = windowed.window_start(len(windowed) - 1) + windowed.window_seconds
+        tail = self.finish_segment(end)
+        if tail is not None:
+            alerts.append(tail)
+        return alerts
 
     def batch_twin(self) -> "DetectorBackend":
         """A backend sharing this one's fitted model but with fresh
@@ -267,31 +362,10 @@ class DetectorBackend:
         raise NotImplementedError
 
     def process_batch(self, trace: Trace) -> List[BackendAlert]:
-        """Replay a segment through the window loop in one batch pass.
-
-        Default implementation: encode the whole segment, then run the
-        same :meth:`observe_window` template per window on a fresh twin.
-        Backends with a genuinely different batch path (DICE's vectorised
-        ``check_many``) override this — that difference is exactly what
-        the conformance suite's parity oracle exercises.
-        """
+        """Encode a segment and run it through :meth:`run_segment` on a
+        fresh twin (the batch arm of the differential oracle)."""
         twin = self.batch_twin()
-        windowed = twin.encode_window(trace)
-        seconds = windowed.window_seconds
-        alerts: List[BackendAlert] = []
-        for i, (mask, acts) in enumerate(windowed):
-            start = windowed.window_start(i)
-            window = _BatchWindow(i, start, start + seconds, mask, acts)
-            alerts.extend(twin.observe_window(window).alerts)
-        last_end = (
-            windowed.window_start(len(windowed) - 1) + seconds
-            if len(windowed)
-            else trace.start
-        )
-        tail = twin.finish_segment(last_end)
-        if tail is not None:
-            alerts.append(tail)
-        return alerts
+        return twin.run_segment(twin.encode_window(trace), StageTimings())
 
     # -- evidence / telemetry ------------------------------------------- #
 
@@ -328,8 +402,8 @@ class DetectorBackend:
         """Backend-private transient state beyond the shared session."""
         return None
 
-    def load_payload(self, payload: Optional[dict]) -> None:
-        """Inverse of :meth:`state_payload` (``None`` = fresh state)."""
+    def load_payload(self, payload: dict) -> None:
+        """Inverse of :meth:`state_payload`."""
 
     def checkpoint_state(self) -> dict:
         """JSON-serializable transient streaming state (flat keys, merged
@@ -355,7 +429,10 @@ class DetectorBackend:
             )
         )
         self._session_trigger = state["session_trigger"]
-        self.load_payload(state.get(self.name))
+        if self.state_payload() is not None:
+            # A backend that writes a payload needs it back: a snapshot
+            # without one is corrupt, not a fresh start.
+            self.load_payload(state[self.name])
 
     # -- model identity --------------------------------------------------- #
 
@@ -464,35 +541,79 @@ class DiceBackend(DetectorBackend):
                 )
                 observe["transition"].observe(time.perf_counter() - t0)
         self._last_check = (corr, violations)
+        # The verdict carries the groups identify uses: on the batch path
+        # the streaming state has moved on by the time identify runs.
+        payload = (corr, violations, self._prev_group, self._anchor_group)
         if corr.is_violation:
             return WindowVerdict(
-                True,
-                CORRELATION_CHECK,
-                payload=(corr, violations),
-                drift_signal=True,
+                True, CORRELATION_CHECK, payload=payload, drift_signal=True
             )
         if violations:
             return WindowVerdict(
                 True,
                 TRANSITION_CHECK,
                 cases=tuple(v.case for v in violations),
-                payload=(corr, violations),
+                payload=payload,
             )
-        return WindowVerdict(False, payload=(corr, violations))
+        return WindowVerdict(False, payload=payload)
+
+    def check_windows(
+        self, windowed: WindowedTrace, timings: StageTimings
+    ) -> List[WindowVerdict]:
+        """The segment's correlation checks in one vectorised
+        ``check_many`` matrix pass, then the per-window transition checks.
+        A window without a violation shares one payload-free verdict."""
+        checker = self.dice_detector._correlation_checker
+        transition_check = self.dice_detector._transition_checker.check
+        clock = time.perf_counter
+        hits, misses = checker.cache_hits, checker.cache_misses
+        with self.tracer.trace("correlation"):
+            t0 = clock()
+            results = checker.check_many(windowed.masks)
+            timings.correlation_s += clock() - t0
+        timings.correlation_cache_hits += checker.cache_hits - hits
+        timings.correlation_cache_misses += checker.cache_misses - misses
+        # The anchor is the last main group: identify prunes probable
+        # groups by their transition probability from it, and it stays
+        # valid across a run of violating windows.
+        prev_group, anchor_group, prev_acts = (
+            self._prev_group, self._anchor_group, self._prev_acts
+        )
+        verdicts: List[WindowVerdict] = []
+        t0 = clock()
+        for corr, acts in zip(results, windowed.actuator_activations):
+            group = corr.main_group
+            if group is None:
+                payload = (corr, (), prev_group, anchor_group)
+                verdict = WindowVerdict(True, CORRELATION_CHECK, (), payload, True)
+            else:
+                violations = transition_check(prev_group, group, prev_acts, acts)
+                verdict = _PASS
+                if violations:
+                    violations = tuple(violations)
+                    cases = tuple(v.case for v in violations)
+                    payload = (corr, violations, prev_group, anchor_group)
+                    verdict = WindowVerdict(True, TRANSITION_CHECK, cases, payload)
+                anchor_group = group
+            verdicts.append(verdict)
+            prev_group, prev_acts = group, acts
+        timings.transition_s += clock() - t0
+        self._prev_group, self._anchor_group, self._prev_acts = (
+            prev_group, anchor_group, prev_acts
+        )
+        return verdicts
 
     def identify(self, verdict: WindowVerdict, snapshot) -> ProbableFaultSet:
-        corr, violations = verdict.payload
+        corr, violations, prev_group, anchor_group = verdict.payload
         identifier = self.dice_detector._identifier
         if corr.is_violation:
-            return identifier.from_correlation_violation(
-                corr, self._anchor_group
-            )
+            return identifier.from_correlation_violation(corr, anchor_group)
         return identifier.from_transition_violations(
-            violations, snapshot.mask, self._prev_group
+            violations, snapshot.mask, prev_group
         )
 
     def _post_window(self, snapshot, verdict: WindowVerdict, qbits: int) -> None:
-        corr, _ = verdict.payload
+        corr = verdict.payload[0]
         self._prev_group = corr.main_group
         if corr.main_group is not None:
             self._anchor_group = corr.main_group
@@ -502,47 +623,8 @@ class DiceBackend(DetectorBackend):
 
     def batch_twin(self) -> "DiceBackend":
         # A fresh wrap over the same fitted detector: clean transient
-        # streaming state, shared trained model.  Used when DICE runs as
-        # an ensemble child — the standalone batch path below goes
-        # through the vectorised report driver instead.
+        # streaming state, shared trained model.
         return DiceBackend(self.dice_detector)
-
-    def process_batch(self, trace: Trace) -> List[BackendAlert]:
-        """The genuinely different arm of the differential oracle: DICE's
-        batch driver resolves every correlation check through one
-        vectorised ``check_many`` matrix pass, then merges the report back
-        into window order."""
-        report = self.dice_detector.process(trace, publish=False)
-        alerts: List[BackendAlert] = []
-        detections = report.detections
-        identifications = report.identifications
-        di = ii = 0
-        while di < len(detections) or ii < len(identifications):
-            take_detection = ii >= len(identifications) or (
-                di < len(detections)
-                and detections[di].window <= identifications[ii].window
-            )
-            if take_detection:
-                r = detections[di]
-                di += 1
-                alerts.append(
-                    BackendAlert(
-                        "detection", r.time, check=r.check, cases=r.cases
-                    )
-                )
-            else:
-                r = identifications[ii]
-                ii += 1
-                alerts.append(
-                    BackendAlert(
-                        "identification",
-                        r.time,
-                        check=r.triggered_by,
-                        devices=r.devices,
-                        converged=r.converged,
-                    )
-                )
-        return alerts
 
     # -- evidence / telemetry --------------------------------------------- #
 
@@ -774,8 +856,8 @@ class MarkovBackend(DetectorBackend):
     def state_payload(self) -> Optional[dict]:
         return {"prev": dict(sorted(self._prev_states.items()))}
 
-    def load_payload(self, payload: Optional[dict]) -> None:
-        self._prev_states = dict(payload["prev"]) if payload else {}
+    def load_payload(self, payload: dict) -> None:
+        self._prev_states = dict(payload["prev"])
 
     # -- model identity ----------------------------------------------------- #
 
@@ -980,10 +1062,7 @@ class EnsembleBackend(DetectorBackend):
         }
 
     def load_state(self, state: dict) -> None:
-        payload = state.get("ensemble")
-        if payload is None:
-            return
-        entries = payload.get("children", [])
+        entries = state["ensemble"]["children"]
         if len(entries) != len(self.children):
             raise ValueError(
                 f"ensemble checkpoint has {len(entries)} children, "

@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import DEFAULT_CONFIG, DiceConfig, DiceDetector, SegmentReport, StageTimings
+from ..core import DEFAULT_CONFIG, BackendAlert, DiceConfig, DiceDetector, StageTimings
 from ..faults import FaultType, InjectedFault, SegmentPair, make_segment_pairs
 from ..model import Device, Trace
 from .metrics import DetectionCounts, IdentificationCounts, TimingStats
@@ -307,7 +307,7 @@ def _evaluate_pair(
             clean_first.devices if clean_first else frozenset()
         ),
     )
-    detection = _first_after(faulty_report, pair.fault.onset)
+    detection = _first_after(faulty_report.detections, pair.fault.onset)
     if detection is not None:
         outcome.detecting_check = detection.check
         outcome.detection_minutes = max(
@@ -316,7 +316,7 @@ def _evaluate_pair(
     # The per-fault verdict is the first identification session that
     # concludes after the fault onset (§3.4: DICE outputs the faulty
     # sensor "and starts detecting faults from the top").
-    identification = _first_identification_after(faulty_report, pair.fault.onset)
+    identification = _first_after(faulty_report.identifications, pair.fault.onset)
     if identification is not None:
         outcome.identified = identification.devices
         if pair.fault.device_id in identification.devices:
@@ -345,15 +345,6 @@ def _manifestation_time(pair: SegmentPair) -> float:
     return fault.onset
 
 
-def _first_after(report: SegmentReport, onset: float):
-    for record in report.detections:
-        if record.time >= onset:
-            return record
-    return report.first_detection
-
-
-def _first_identification_after(report: SegmentReport, onset: float):
-    for record in report.identifications:
-        if record.time >= onset:
-            return record
-    return report.first_identification
+def _first_after(alerts: List[BackendAlert], onset: float) -> Optional[BackendAlert]:
+    """The first alert at or after *onset*, else the first alert (if any)."""
+    return next((a for a in alerts if a.time >= onset), alerts[0] if alerts else None)

@@ -24,6 +24,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 from .. import telemetry
 from ..core import (
     WINDOWS_TOTAL,
+    BackendAlert,
     DetectorBackend,
     DiceDetector,
     TransitionCase,
@@ -76,6 +77,13 @@ class Alert:
     cases: Tuple[TransitionCase, ...] = ()
     devices: FrozenSet[str] = frozenset()
     converged: bool = True
+
+
+def _streaming_alert(b: BackendAlert) -> Alert:
+    """A backend alert as the gateway publishes it.  It leaves out the
+    session's ``windows_used`` and ``weighted_early``, so streaming output,
+    checkpoints and provenance records keep their bytes."""
+    return Alert(b.kind, b.time, b.check, b.cases, b.devices, b.converged)
 
 
 class OnlineDice:
@@ -197,14 +205,7 @@ class OnlineDice:
         )
         if tail_alert is None:
             return fresh
-        alert = Alert(
-            tail_alert.kind,
-            tail_alert.time,
-            check=tail_alert.check,
-            cases=tail_alert.cases,
-            devices=tail_alert.devices,
-            converged=tail_alert.converged,
-        )
+        alert = _streaming_alert(tail_alert)
         self.alerts.append(alert)
         prov = self.provenance
         if prov.enabled:
@@ -255,17 +256,7 @@ class OnlineDice:
 
     def _handle_window_impl(self, snapshot: WindowSnapshot) -> List[Alert]:
         outcome = self.backend.observe_window(snapshot, self._current_qbits())
-        fresh = [
-            Alert(
-                b.kind,
-                b.time,
-                check=b.check,
-                cases=b.cases,
-                devices=b.devices,
-                converged=b.converged,
-            )
-            for b in outcome.alerts
-        ]
+        fresh = [_streaming_alert(b) for b in outcome.alerts]
         if fresh:
             latency = max(0.0, self._detected_ts - snapshot.end)
             for _ in fresh:

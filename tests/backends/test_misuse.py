@@ -3,7 +3,8 @@
 The contract: an unknown backend name — in config, in ``create_backend``,
 or on the CLI — produces one line naming the valid backends (CLI exit
 code 2); restoring a checkpoint written by a different backend raises
-:class:`CheckpointError` naming both backends.
+:class:`CheckpointError` naming both backends; a backend state that lost
+its payload raises ``KeyError`` instead of restoring fresh state.
 """
 
 import random
@@ -91,3 +92,21 @@ class TestCrossBackendRestore:
             fit_backend("markov", registry, trace, split), snapshot
         )
         assert resumed.backend.name == "markov"
+
+
+class TestMissingPayload:
+    def test_state_without_payload_raises_key_error(self, backend_name):
+        # Every registered backend writes a payload under its own name; a
+        # state without it is corrupt and must not restore as a fresh start.
+        rng = random.Random(SEED + 11)
+        registry, trace, split = build_deployment(rng)
+        writer = HardenedOnlineDice(
+            fit_backend(backend_name, registry, trace, split), start=split
+        )
+        writer.ingest_many(list(trace.slice(split, trace.end))[:50])
+        state = writer.backend.checkpoint_state()
+        del state[backend_name]
+        target = fit_backend(backend_name, registry, trace, split)
+        with pytest.raises(KeyError) as excinfo:
+            target.load_state(state)
+        assert excinfo.value.args == (backend_name,)

@@ -1,9 +1,11 @@
-"""Batch, scalar and cache-disabled detection paths must agree exactly.
+"""Batch, per-window and cache-disabled detection paths must agree exactly.
 
 The batched ``check_many`` matrix pass and the LRU memo are pure
 optimisations: for any segment — clean or fault-injected — the
 :class:`SegmentReport` (detections, identifications, window count, cache
-counters) must be identical to the seed per-window scalar path.
+counters) must be identical to the per-window streaming path, which
+checks each window with the memoised scalar ``check``.  Both arms run
+through the same detect-then-identify loop.
 """
 
 import dataclasses
@@ -11,7 +13,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import DiceConfig, DiceDetector
+from repro.core import (
+    DiceBackend,
+    DiceConfig,
+    DiceDetector,
+    SegmentReport,
+    StageTimings,
+)
 from repro.faults import FaultInjector, FaultType
 
 HOUR = 3600.0
@@ -51,6 +59,24 @@ def _segments(house):
     return segments
 
 
+def _streamed(detector, segment):
+    """The per-window arm: the segment's windows one at a time through
+    ``observe_window`` (the memoised scalar check), as a report."""
+    backend = DiceBackend(detector)
+    windowed = detector.model.encoder.encode(segment)
+    hits, misses = backend.cache_counters()
+    alerts = backend.stream_segment(windowed)
+    hits_after, misses_after = backend.cache_counters()
+    timings = StageTimings(
+        windows=len(windowed),
+        correlation_cache_hits=hits_after - hits,
+        correlation_cache_misses=misses_after - misses,
+    )
+    return SegmentReport(
+        len(windowed), windowed.window_seconds, windowed.start, alerts, timings
+    )
+
+
 def _assert_reports_equal(a, b):
     assert a.detections == b.detections
     assert a.identifications == b.identifications
@@ -61,9 +87,9 @@ class TestSegmentParity:
     def test_batch_matches_scalar(self, detector, house):
         for label, segment in _segments(house):
             detector._correlation_checker.clear_cache()
-            scalar = detector.process(segment, batch=False)
+            scalar = _streamed(detector, segment)
             detector._correlation_checker.clear_cache()
-            batch = detector.process(segment, batch=True)
+            batch = detector.process(segment)
             _assert_reports_equal(scalar, batch)
             # The memo is transparent to the counters too: both paths see
             # the same hit/miss stream for the same cold start.
@@ -77,15 +103,15 @@ class TestSegmentParity:
     def test_cache_disabled_matches_cached(self, detector, uncached_detector, house):
         for _label, segment in _segments(house):
             detector._correlation_checker.clear_cache()
-            cached = detector.process(segment, batch=True)
-            uncached = uncached_detector.process(segment, batch=True)
+            cached = detector.process(segment)
+            uncached = uncached_detector.process(segment)
             _assert_reports_equal(cached, uncached)
 
     def test_warm_cache_matches_cold(self, detector, house):
         _, segment = _segments(house)[1]
         detector._correlation_checker.clear_cache()
-        cold = detector.process(segment, batch=True)
-        warm = detector.process(segment, batch=True)
+        cold = detector.process(segment)
+        warm = detector.process(segment)
         _assert_reports_equal(cold, warm)
         assert warm.timings.correlation_cache_misses == 0
         assert warm.timings.correlation_cache_hits == warm.timings.windows
@@ -95,8 +121,8 @@ class TestSegmentParity:
         fields sneaking into the equality contract."""
         _, segment = _segments(house)[2]
         detector._correlation_checker.clear_cache()
-        scalar = detector.process(segment, batch=False)
+        scalar = _streamed(detector, segment)
         detector._correlation_checker.clear_cache()
-        batch = detector.process(segment, batch=True)
+        batch = detector.process(segment)
         for a, b in zip(scalar.detections, batch.detections):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)

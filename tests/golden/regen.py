@@ -162,6 +162,10 @@ def run_pipeline(trace):
 
 
 def report_as_json(report, fixture: GoldenFixture = FIXTURES[0]) -> dict:
+    def window(record) -> int:
+        # An alert's time is the end of the window that raised it.
+        return round((record.time - report.start) / report.window_seconds) - 1
+
     return {
         "scenario": {
             "dataset": DATASET,
@@ -178,7 +182,7 @@ def report_as_json(report, fixture: GoldenFixture = FIXTURES[0]) -> dict:
         "window_seconds": report.window_seconds,
         "detections": [
             {
-                "window": r.window,
+                "window": window(r),
                 "time": r.time,
                 "check": r.check,
                 "cases": [case.value for case in r.cases],
@@ -187,13 +191,13 @@ def report_as_json(report, fixture: GoldenFixture = FIXTURES[0]) -> dict:
         ],
         "identifications": [
             {
-                "window": r.window,
+                "window": window(r),
                 "time": r.time,
                 "devices": sorted(r.devices),
                 "windows_used": r.windows_used,
                 "converged": r.converged,
                 "weighted_early": r.weighted_early,
-                "triggered_by": r.triggered_by,
+                "triggered_by": r.check,
             }
             for r in report.identifications
         ],

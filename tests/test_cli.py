@@ -124,21 +124,31 @@ class TestStream:
         assert "streamed" in captured.out
 
     def test_corrupt_checkpoint_is_one_actionable_line(self, tmp_path, capsys):
+        import json
+
         ckpt = tmp_path / "bad-ckpt"
         assert main(self.ARGS + ["--save-checkpoint", str(ckpt)]) == 0
         capsys.readouterr()
         (snapshot,) = [p for p in ckpt.iterdir() if p.name != "manifest.json"]
-        snapshot.write_text("{torn mid-write")
-        journal = tmp_path / "journal"
-        code = main(
-            self.ARGS
-            + ["--journal-dir", str(journal), "--resume", str(ckpt)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "resume_failed" in err
-        assert "corrupt checkpoint" in err
-        assert str(ckpt) in err
+        home = json.loads(snapshot.read_text())
+        del home["runtime"]["dice"]
+        corruptions = [
+            ("{torn mid-write", "corrupt checkpoint"),
+            # Valid JSON that lost the backend payload.
+            (json.dumps(home), "'dice'"),
+        ]
+        for i, (text, reason) in enumerate(corruptions):
+            snapshot.write_text(text)
+            journal = tmp_path / f"journal-{i}"
+            code = main(
+                self.ARGS
+                + ["--journal-dir", str(journal), "--resume", str(ckpt)]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            (line,) = [ln for ln in err.splitlines() if "resume_failed" in ln]
+            assert reason in line
+            assert str(ckpt) in line
 
     def test_metrics_out_writes_snapshot(self, tmp_path, capsys):
         import json

@@ -13,7 +13,8 @@ platforms and numpy versions):
   phase structure and window alignment) are each run through one of five
   live-segment perturbations (identity / drop a device / drop random
   events / duplicate events / corrupt values) so the comparison covers
-  healthy and faulty streams alike.
+  healthy and faulty streams alike.  Twenty more run under Ch. VI device
+  weights and twenty under the multi-fault configuration (numThre 3).
 
 * **packed vs scalar Hamming** — :meth:`PackedBitsets.distances_many`
   (both its XOR-popcount and GEMM bit-plane kernels) must agree with the
@@ -25,7 +26,7 @@ import random
 
 import pytest
 
-from repro.core import DiceDetector
+from repro.core import DEFAULT_CONFIG, DeviceWeights, DiceConfig, DiceDetector
 from repro.core.bitset import _GEMM_MIN_ROWS, PackedBitsets
 from repro.model import (
     DeviceRegistry,
@@ -41,6 +42,7 @@ from repro.streaming import OnlineDice
 HOUR = 3600.0
 SEED = 20260806
 TRIALS = 50
+PARITY_VARIANT_TRIALS = 20
 PERTURBATIONS = ["identity", "drop_device", "drop_random", "duplicate", "corrupt"]
 
 
@@ -113,7 +115,7 @@ def _alert_views(online, batch):
         if a.kind == "identification"
     ]
     b_idn = [
-        (r.time, tuple(sorted(r.devices)), r.converged, r.triggered_by)
+        (r.time, tuple(sorted(r.devices)), r.converged, r.check)
         for r in batch.identifications
     ]
     return s_det, b_det, s_idn, b_idn
@@ -124,12 +126,14 @@ def _alert_views(online, batch):
 # ---------------------------------------------------------------------------
 
 
-def test_streaming_matches_batch_on_random_traces():
+def _parity_trials(seed, trials, config=DEFAULT_CONFIG, weights=None):
+    """Streaming vs batch on *trials* random deployments; returns the
+    batch reports."""
     # One sequential RNG across all trials: each trial's deployment depends
     # on the seed alone, and any failure message names the trial to replay.
-    rng = random.Random(SEED)
-    total_alerts = 0
-    for trial in range(TRIALS):
+    rng = random.Random(seed)
+    reports = []
+    for trial in range(trials):
         # Trial 0 pins the degenerate single-sensor deployment.
         k = 1 if trial == 0 else rng.randrange(1, 6)
         registry = _build_registry(
@@ -143,7 +147,9 @@ def test_streaming_matches_batch_on_random_traces():
         # A fractional split leaves the live segment unaligned with the
         # window grid, exercising the trailing-partial-window semantics.
         split = hours * HOUR * rng.uniform(0.6, 0.75)
-        detector = DiceDetector(registry).fit(trace.slice(0.0, split))
+        detector = DiceDetector(registry, config, weights).fit(
+            trace.slice(0.0, split)
+        )
         live = _perturb(
             rng,
             trace.slice(split, hours * HOUR),
@@ -157,9 +163,32 @@ def test_streaming_matches_batch_on_random_traces():
         s_det, b_det, s_idn, b_idn = _alert_views(online, batch)
         assert s_det == b_det, f"trial {trial}: detection streams diverged"
         assert s_idn == b_idn, f"trial {trial}: identification streams diverged"
-        total_alerts += len(s_det) + len(s_idn)
+        reports.append(batch)
+    return reports
+
+
+def test_streaming_matches_batch_on_random_traces():
+    reports = _parity_trials(SEED, TRIALS)
     # The corpus must actually exercise the pipeline, not compare silence.
-    assert total_alerts > 50
+    assert sum(len(report.alerts) for report in reports) > 50
+
+
+def test_streaming_matches_batch_under_weights_and_multi_fault():
+    # Ch. VI criticality weights (an early alarm once the critical sensor
+    # is a suspect) and the E9 multi-fault setting (numThre 3), on the
+    # same deployments.
+    configs = {
+        "weights": (DEFAULT_CONFIG, DeviceWeights.for_safety_sensors(["m0"])),
+        "multi_fault": (DiceConfig(num_faults=3), None),
+    }
+    verdicts = []
+    for config, weights in configs.values():
+        reports = _parity_trials(SEED + 2, PARITY_VARIANT_TRIALS, config, weights)
+        for report in reports:
+            verdicts.extend(report.identifications)
+    # Neither setting may compare silence: each must shape some verdict.
+    assert any(v.weighted_early for v in verdicts)
+    assert any(len(v.devices) > 1 for v in verdicts)
 
 
 def test_streaming_matches_batch_across_silent_gaps():
