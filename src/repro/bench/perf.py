@@ -241,22 +241,15 @@ def bench_scan(
     if not (scalar_results == memo_results == batch_results):
         raise AssertionError("scalar, memoised and batch paths disagree")
 
-    # The DiceConfig crossover knob, both ways: force the GEMM kernel and
+    # The registry's kernel crossover, both ways: force the GEMM kernel and
     # the XOR+popcount kernel for the same cold batch pass.  Results must
     # not move — the kernel choice is a pure performance decision.
     default_min_rows = groups.gemm_min_rows
     forced_kernel_s: Dict[str, float] = {}
     try:
         for label, min_rows in (("gemm", 0), ("xor", 1 << 30)):
-            forced_config = DiceConfig(
-                max_candidate_distance=2, gemm_min_rows=min_rows
-            )
-
-            def _forced():
-                checker = CorrelationChecker(groups, forced_config)
-                return checker.check_many(probes)
-
-            seconds, forced_results = _best_of(repeats, _forced)
+            groups.gemm_min_rows = min_rows
+            seconds, (_, forced_results) = _best_of(repeats, _batch_cold)
             if forced_results != batch_results:
                 raise AssertionError(
                     f"forced {label} kernel changed correlation results"
@@ -770,18 +763,14 @@ def bench_backends(
     return entries
 
 
-def _capacity_canon(gateway, home_ids: Sequence[str]) -> Dict[str, str]:
-    """Per-home alert canon — kind/time/check/cases/devices/convergence."""
-    return {
-        home_id: repr(
-            [
-                (a.kind, a.time, a.check, a.cases,
-                 tuple(sorted(a.devices)), a.converged)
-                for a in gateway.alerts_of(home_id)
-            ]
-        )
-        for home_id in home_ids
-    }
+def _capacity_canon(alerts) -> str:
+    """One home's alert canon — kind/time/check/cases/devices/convergence."""
+    return repr(
+        [
+            (a.kind, a.time, a.check, a.cases, tuple(sorted(a.devices)), a.converged)
+            for a in alerts
+        ]
+    )
 
 
 def bench_capacity(
@@ -797,25 +786,27 @@ def bench_capacity(
     *num_homes* homes are stamped from *archetypes* canonical fits — the
     structure :func:`~repro.fleet.build_fleet_homes` models with
     ``unique_homes``, built synthetically here so ``H`` can be large
-    without simulating ``H`` distinct lives.  Each arm streams the same
-    per-window event batches through a :class:`~repro.fleet.FleetGateway`:
+    without simulating ``H`` distinct lives.  Both arms stream the same
+    events in the same per-window order:
 
-    * **shared** — content-addressed contexts + batched tick (the
-      defaults): ``K`` trained states resident, one memo pre-warm pass
-      per tick across every home on a context;
-    * **replicated** — sharing and batching off: ``H`` private trained
-      states, per-event scalar ingest (the pre-capacity fleet).
+    * **shared** — a :class:`~repro.fleet.FleetGateway`: ``K`` trained
+      states resident, one memo pre-warm pass per tick across every home
+      on a context;
+    * **replicated** — one standalone runtime per home on a private
+      clone, fed event by event: ``H`` private trained states, per-event
+      scalar checks (the pre-capacity fleet).
 
     Per-home alert parity across the arms is *asserted*, memory comes
-    from the deterministic estimator via :meth:`FleetGateway.memory_report`,
-    and the measured per-context bytes project the resident footprint out
-    to 1k/10k/100k homes.  Detector construction and interning are
-    untimed setup — the timed region is event flow only.
+    from the deterministic estimator via :meth:`FleetGateway.memory_report`
+    (every clone has the same size, so its replicated figure is the
+    replicated arm's), and the measured per-context bytes project the
+    resident footprint out to 1k/10k/100k homes.  Detector construction
+    and interning are untimed setup — the timed region is event flow only.
     """
     from ..core.detector import DiceDetector as _Detector, DiceModel
     from ..core.encoding import StateSetEncoder
     from ..fleet import FleetGateway
-    from ..streaming import SupervisorPolicy
+    from ..streaming import HardenedOnlineDice, SupervisorPolicy
 
     rng = np.random.default_rng(seed)
     layout = _synthetic_layout(num_bits)
@@ -876,46 +867,47 @@ def bench_capacity(
             metrics=telemetry.NULL_REGISTRY,
         )
 
-    def _run_arm(shared: bool):
-        gateway = FleetGateway(
-            1,
-            metrics=telemetry.NULL_REGISTRY,
-            share_contexts=shared,
-            batch_tick=shared,
+    runtime_options = {"start": 0.0, "lateness_seconds": 0.0, "policy": policy}
+    end = windows_per_home * 60.0
+
+    shared_gw = FleetGateway(1, metrics=telemetry.NULL_REGISTRY)
+    for i, home_id in enumerate(home_ids):
+        shared_gw.add_home(
+            home_id, _clone(canonical[i % archetypes]), **runtime_options
         )
+    events = 0
+    t0 = time.perf_counter()
+    for w in range(windows_per_home):
+        batch = []
         for i, home_id in enumerate(home_ids):
-            gateway.add_home(
-                home_id,
-                _clone(canonical[i % archetypes]),
-                start=0.0,
-                lateness_seconds=0.0,
-                policy=policy,
+            for event in window_events[i % archetypes][w]:
+                batch.append((home_id, event))
+        events += len(batch)
+        shared_gw.dispatch(batch)
+    shared_gw.finish(end)
+    shared_s = time.perf_counter() - t0
+
+    replicated = [
+        HardenedOnlineDice(_clone(canonical[i % archetypes]), **runtime_options)
+        for i in range(num_homes)
+    ]
+    replicated_alerts: List[List] = [[] for _ in home_ids]
+    t0 = time.perf_counter()
+    for w in range(windows_per_home):
+        for i, runtime in enumerate(replicated):
+            for event in window_events[i % archetypes][w]:
+                replicated_alerts[i] += runtime.ingest(event)
+    for i, runtime in enumerate(replicated):
+        replicated_alerts[i] += runtime.finish_stream(end)
+    replicated_s = time.perf_counter() - t0
+
+    for home_id, alerts in zip(home_ids, replicated_alerts):
+        if _capacity_canon(shared_gw.alerts_of(home_id)) != _capacity_canon(alerts):
+            raise AssertionError(
+                f"shared+batched fleet changed {home_id}'s alerts vs replicated"
             )
-        events = 0
-        t0 = time.perf_counter()
-        for w in range(windows_per_home):
-            batch = []
-            for i, home_id in enumerate(home_ids):
-                for event in window_events[i % archetypes][w]:
-                    batch.append((home_id, event))
-            events += len(batch)
-            gateway.dispatch(batch)
-        gateway.finish(windows_per_home * 60.0)
-        seconds = time.perf_counter() - t0
-        return gateway, seconds, events
-
-    shared_gw, shared_s, events = _run_arm(shared=True)
-    replicated_gw, replicated_s, _ = _run_arm(shared=False)
-
-    if _capacity_canon(shared_gw, home_ids) != _capacity_canon(
-        replicated_gw, home_ids
-    ):
-        raise AssertionError(
-            "shared+batched fleet changed per-home alerts vs replicated"
-        )
 
     shared_mem = shared_gw.memory_report()
-    replicated_mem = replicated_gw.memory_report()
     per_context = (
         shared_mem["trained_bytes_shared"] / shared_mem["distinct_contexts"]
     )
@@ -932,7 +924,7 @@ def bench_capacity(
             }
         )
     reduction = (
-        replicated_mem["trained_bytes_per_home"]
+        shared_mem["replicated_bytes_per_home"]
         / shared_mem["trained_bytes_per_home"]
         if shared_mem["trained_bytes_per_home"]
         else float("inf")
@@ -956,7 +948,7 @@ def bench_capacity(
             replicated_s / shared_s if shared_s > 0 else float("inf")
         ),
         "bytes_per_home_shared": shared_mem["trained_bytes_per_home"],
-        "bytes_per_home_replicated": replicated_mem["trained_bytes_per_home"],
+        "bytes_per_home_replicated": shared_mem["replicated_bytes_per_home"],
         "bytes_per_home_reduction": reduction,
         "dedup": shared_mem["store"],
         "rss_bytes": shared_mem["rss_bytes"],

@@ -246,15 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(what the shared-context store dedups); default: all unique",
     )
     fleet.add_argument(
-        "--no-share-contexts", dest="share_contexts", action="store_false",
-        help="disable content-addressed shared trained contexts "
-        "(every home keeps a private copy)",
-    )
-    fleet.add_argument(
-        "--no-batch-tick", dest="batch_tick", action="store_false",
-        help="disable the cross-home batched tick (per-event ingest)",
-    )
-    fleet.add_argument(
         "--report-memory", action="store_true",
         help="print the fleet memory report: trained-state bytes/home "
         "shared vs replicated, dedup ratio, RSS",
@@ -691,7 +682,27 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _open_gateway(args, detectors, starts, num_shards, **gateway_options):
+def _flags_ok(event: str, checks) -> bool:
+    """Whether every ``(ok, reason)`` check holds; else log one *event*
+    line with the first failing reason (each names its flag)."""
+    for ok, reason in checks:
+        if not ok:
+            _log.error(event, reason=reason)
+            return False
+    return True
+
+
+def _runtime_checks(args) -> list:
+    """Range checks of the per-home runtime flags, run before any fit:
+    the reorder buffer's and the supervisor policy's own rules."""
+    return [
+        (args.lateness >= 0, "--lateness must be non-negative"),
+        (args.silence > 0, "--silence must be positive"),
+        (args.quarantine >= args.silence, "--quarantine must be at least --silence"),
+    ]
+
+
+def _open_gateway(args, detectors, starts, num_shards):
     """Build or recover the gateway ``stream``, ``fleet`` and ``serve`` host.
 
     *detectors* and *starts* map each home to its fitted detector and
@@ -703,7 +714,8 @@ def _open_gateway(args, detectors, starts, num_shards, **gateway_options):
 
     Returns ``(gateway, durable)`` — *durable* is the gateway itself when
     journaled, else ``None`` — or ``None`` after logging one
-    ``resume_failed`` line.
+    ``resume_failed`` (with ``--resume``) or ``journal_replay_failed``
+    line.
     """
     import os
 
@@ -719,7 +731,7 @@ def _open_gateway(args, detectors, starts, num_shards, **gateway_options):
     }
 
     def fresh_gateway() -> FleetGateway:
-        gateway = FleetGateway(num_shards or 4, **gateway_options)
+        gateway = FleetGateway(num_shards or 4)
         for home_id, detector in detectors.items():
             gateway.add_home(
                 home_id, detector, start=starts[home_id], **runtime_options
@@ -733,23 +745,27 @@ def _open_gateway(args, detectors, starts, num_shards, **gateway_options):
         outbox = AlertOutbox(
             os.path.join(args.journal_dir, "outbox"), FileSink(args.alerts_out)
         )
+    gateway = None if args.resume else fresh_gateway()
     try:
         if args.journal_dir:
             gateway, replayed = DurableFleetGateway.recover(
                 detectors, args.journal_dir,
-                checkpoint_dir=args.resume,
-                gateway=None if args.resume else fresh_gateway(),
+                checkpoint_dir=args.resume, gateway=gateway,
                 num_shards=num_shards, fsync=args.fsync, outbox=outbox,
-                **gateway_options, **runtime_options,
+                **runtime_options,
             )
         else:
             gateway = restore_fleet(
-                detectors, args.resume, num_shards=num_shards,
-                **gateway_options, **runtime_options,
+                detectors, args.resume, num_shards=num_shards, **runtime_options
             )
             replayed = []
     except (OSError, ValueError, KeyError, CheckpointError) as exc:
-        _log.error("resume_failed", path=args.resume, error=str(exc))
+        if args.resume:
+            _log.error("resume_failed", path=args.resume, error=str(exc))
+        else:
+            _log.error(
+                "journal_replay_failed", path=args.journal_dir, error=str(exc)
+            )
         return None
     if args.resume:
         _log.info(
@@ -768,6 +784,12 @@ def _cmd_stream(args) -> int:
     from .datasets import load_dataset
     from .faults import PipeFaultInjector, PipeFaultSpec, PipeFaultType
 
+    checks = _runtime_checks(args) + [
+        (args.hours > 0, "--hours must be positive"),
+        (0 <= args.pipe_rate <= 1, "--pipe-rate must be within [0, 1]"),
+    ]
+    if not _flags_ok("bad_stream", checks):
+        return 2
     if args.input_csv:
         from .datasets.io import read_trace
 
@@ -777,8 +799,11 @@ def _cmd_stream(args) -> int:
             _log.error("bad_input_csv", path=args.input_csv, error=str(exc))
             return 2
     else:
-        data = load_dataset(args.dataset, seed=args.seed, hours=args.hours)
-        trace = data.trace
+        try:
+            trace = load_dataset(args.dataset, seed=args.seed, hours=args.hours).trace
+        except KeyError as exc:
+            _log.error("bad_stream", reason=exc.args[0])
+            return 2
     split = trace.start + args.train_hours * 3600.0
     if not trace.start < split < trace.end:
         _log.error("bad_split", reason="train-hours must leave a non-empty live segment")
@@ -922,14 +947,14 @@ def _fleet_homes(args):
 def _cmd_fleet(args) -> int:
     from .fleet import replay_fleet
 
-    if args.homes < 1:
-        _log.error("bad_fleet", reason="--homes must be at least 1")
-        return 2
-    if args.shards is not None and args.shards < 1:
-        _log.error("bad_fleet", reason="--shards must be at least 1")
-        return 2
-    if args.alerts_out and not args.journal_dir:
-        _log.error("bad_fleet", reason="--alerts-out requires --journal-dir")
+    checks = _runtime_checks(args) + [
+        (args.homes >= 1, "--homes must be at least 1"),
+        (args.shards is None or args.shards >= 1, "--shards must be at least 1"),
+        (args.tick > 0, "--tick must be positive"),
+        (not args.alerts_out or args.journal_dir,
+         "--alerts-out requires --journal-dir"),
+    ]
+    if not _flags_ok("bad_fleet", checks):
         return 2
     built = _fleet_homes(args)
     if built is None:
@@ -937,8 +962,7 @@ def _cmd_fleet(args) -> int:
     homes, detectors = built
     opened = _open_gateway(
         args, detectors, {home.home_id: home.split for home in homes},
-        args.shards, share_contexts=args.share_contexts,
-        batch_tick=args.batch_tick,
+        args.shards,
     )
     if opened is None:
         return 2
@@ -1033,6 +1057,20 @@ def _cmd_serve(args) -> int:
 
     from .service import IngestServer, ServiceConfig
 
+    checks = _runtime_checks(args) + [
+        (args.shards is None or args.shards >= 1, "--shards must be at least 1"),
+        (0 <= args.port <= 65535, "--port must be within [0, 65535]"),
+        (0 <= args.http_port <= 65535, "--http-port must be within [0, 65535]"),
+        (args.queue_capacity >= 1, "--queue-capacity must be at least 1"),
+        (args.read_timeout > 0, "--read-timeout must be positive"),
+    ]
+    if not _flags_ok("bad_serve", checks):
+        return 2
+    config = ServiceConfig(
+        host=args.host, port=args.port, http_port=args.http_port,
+        queue_capacity=args.queue_capacity, read_timeout_s=args.read_timeout,
+        frame_timeout_s=args.read_timeout,
+    )
     built = _fleet_homes(args)
     if built is None:
         return 2
@@ -1044,11 +1082,6 @@ def _cmd_serve(args) -> int:
     if opened is None:
         return 2
     durable, _ = opened
-    config = ServiceConfig(
-        host=args.host, port=args.port, http_port=args.http_port,
-        queue_capacity=args.queue_capacity, read_timeout_s=args.read_timeout,
-        frame_timeout_s=args.read_timeout,
-    )
     server = IngestServer(durable, config, checkpoint_dir=args.checkpoint_dir)
 
     async def serve() -> None:
@@ -1107,8 +1140,11 @@ def _cmd_send(args) -> int:
         except (OSError, ValueError, KeyError) as exc:
             _log.error("bad_ports_file", path=args.ports_file, error=str(exc))
             return 2
-    if port is None:
-        _log.error("bad_send", reason="one of --port or --ports-file is required")
+    checks = [
+        (port is not None, "one of --port or --ports-file is required"),
+        (args.max_attempts >= 1, "--max-attempts must be at least 1"),
+    ]
+    if not _flags_ok("bad_send", checks):
         return 2
     try:
         homes = build_fleet_homes(

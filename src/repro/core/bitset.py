@@ -132,7 +132,8 @@ class PackedBitsets:
         #: telemetry collector (``dice_bitset_kernel_calls_total``).
         self.kernel_calls: Dict[str, int] = {"gemm": 0, "xor": 0}
         #: Scalar/GEMM crossover for :meth:`distances_many`; ``None`` keeps
-        #: the module heuristic (overridable via ``DiceConfig``).
+        #: the module heuristic (a registry overrides it through
+        #: ``GroupRegistry.gemm_min_rows``).
         self.gemm_min_rows = (
             _GEMM_MIN_ROWS if gemm_min_rows is None else int(gemm_min_rows)
         )

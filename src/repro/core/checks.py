@@ -126,11 +126,6 @@ class CorrelationChecker:
     ) -> None:
         self.groups = groups
         self.config = config
-        if config.gemm_min_rows is not None:
-            # Kernel crossover is a pure performance knob (identical
-            # distances either way), so applying it to a shared registry is
-            # safe: every holder runs the same config by construction.
-            groups.gemm_min_rows = config.gemm_min_rows
         self.max_distance = config.candidate_distance(groups.layout.has_numeric)
         self._cache_size = (
             config.correlation_cache_size if cache_size is None else cache_size

@@ -73,12 +73,6 @@ class DiceConfig:
     #: repeats a small working set of masks heavily; a hit skips the group
     #: scan entirely.  0 disables memoisation (every check scans).
     correlation_cache_size: int = 4096
-    #: Batch height at which ``distances_many`` switches from the per-word
-    #: XOR + popcount kernel to the float32 bit-plane GEMM.  ``None`` keeps
-    #: the built-in heuristic (64 rows); 0 forces GEMM on every batch, a
-    #: very large value forces the XOR path.  Kernel choice never changes
-    #: results — only which arithmetic computes the same distances.
-    gemm_min_rows: Optional[int] = None
     #: Which detector backend the streaming runtime hosts.  ``dice`` is the
     #: paper's pipeline; see ``repro.core.backend`` for the others.
     backend: str = "dice"
@@ -98,8 +92,6 @@ class DiceConfig:
             raise ValueError("min_group_observations must be at least 1")
         if self.correlation_cache_size < 0:
             raise ValueError("correlation_cache_size must be non-negative")
-        if self.gemm_min_rows is not None and self.gemm_min_rows < 0:
-            raise ValueError("gemm_min_rows must be non-negative")
         if self.backend not in KNOWN_BACKENDS:
             valid = ", ".join(KNOWN_BACKENDS)
             raise ValueError(

@@ -89,7 +89,6 @@ class DurableFleetGateway:
         journal_root: PathLike,
         *,
         fsync: str = "never",
-        fsync_interval: int = 64,
         outbox: Optional[AlertOutbox] = None,
         alert_seqs: Optional[Dict[str, int]] = None,
         ingest_seqs: Optional[Dict[str, int]] = None,
@@ -97,7 +96,6 @@ class DurableFleetGateway:
         self.gateway = gateway
         self.journal_root = os.fspath(journal_root)
         self.fsync = fsync
-        self.fsync_interval = int(fsync_interval)
         self.outbox = outbox
         self.alert_seqs: Dict[str, int] = dict(alert_seqs or {})
         #: Per-home count of journaled events — advances exactly when a
@@ -117,7 +115,6 @@ class DurableFleetGateway:
             journal = EventJournal(
                 os.path.join(self.journal_root, home_id),
                 fsync=self.fsync,
-                fsync_interval=self.fsync_interval,
                 metrics=self.gateway.runtime_of(home_id).metrics,
             )
             if journal.segments():
@@ -284,7 +281,6 @@ class DurableFleetGateway:
         gateway: Optional[FleetGateway] = None,
         num_shards: Optional[int] = None,
         fsync: str = "never",
-        fsync_interval: int = 64,
         outbox: Optional[AlertOutbox] = None,
         metrics: Optional["telemetry.MetricsRegistry"] = None,
         **runtime_kwargs,
@@ -350,7 +346,6 @@ class DurableFleetGateway:
             gateway,
             journal_root,
             fsync=fsync,
-            fsync_interval=fsync_interval,
             outbox=outbox,
             alert_seqs=sidecar.get("alert_seqs", {}),
             ingest_seqs=ingest_seqs,

@@ -33,12 +33,7 @@ import os
 from typing import Dict, Optional, Union
 
 from .. import telemetry
-from ..core import (
-    DetectorBackend,
-    DiceDetector,
-    SharedContextStore,
-    as_backend,
-)
+from ..core import DetectorBackend, DiceDetector, as_backend
 from ..streaming import (
     CheckpointError,
     load_checkpoint,
@@ -144,9 +139,6 @@ def restore_fleet(
     *,
     num_shards: Optional[int] = None,
     metrics: Optional["telemetry.MetricsRegistry"] = None,
-    share_contexts: bool = True,
-    batch_tick: bool = True,
-    context_store: Optional[SharedContextStore] = None,
     **runtime_kwargs,
 ) -> FleetGateway:
     """Rebuild a :class:`FleetGateway` from a checkpoint directory.
@@ -158,11 +150,10 @@ def restore_fleet(
     supervisor policy, ...) exactly as :func:`~repro.streaming.restore_runtime`
     does.
 
-    With *share_contexts* (the default, mirroring :class:`FleetGateway`),
-    each validated detector is re-interned **before** its snapshot is
-    replayed, so restored homes dedup exactly like freshly added ones and
-    a carried refresh history forks its private copy on re-apply — even
-    when *num_shards* moved the home to a different shard.
+    Each validated DICE detector is re-interned **before** its snapshot
+    is replayed, so restored homes dedup exactly like freshly added ones
+    and a carried refresh history forks its private copy on re-apply —
+    even when *num_shards* moved the home to a different shard.
     """
     directory = os.fspath(directory)
     manifest = load_fleet_manifest(directory)
@@ -209,11 +200,7 @@ def restore_fleet(
                 f"the supplied detector re-fit to {refit}"
             )
     gateway = FleetGateway(
-        num_shards=num_shards or manifest["num_shards"],
-        metrics=metrics,
-        share_contexts=share_contexts,
-        batch_tick=batch_tick,
-        context_store=context_store,
+        num_shards=num_shards or manifest["num_shards"], metrics=metrics
     )
     for home_id in sorted(manifest["homes"]):
         entry = manifest["homes"][home_id]
@@ -222,7 +209,7 @@ def restore_fleet(
         except CheckpointError as exc:
             raise CheckpointError(f"home {home_id!r}: {exc}") from exc
         backend = backends[home_id]
-        if gateway.share_contexts and backend.dice_detector is not None:
+        if backend.dice_detector is not None:
             # Intern before replaying the snapshot: refresh-history re-apply
             # must fork off the shared copy exactly as the original run did.
             gateway.context_store.intern(

@@ -21,19 +21,20 @@ own detector's registry, and :meth:`metrics_snapshot` joins them with
 :func:`~repro.telemetry.merge_many` — the same worker-join primitive the
 parallel evaluation runner uses.
 
-Two capacity layers ride on the invisibility guarantee (both on by
-default, both per-home-parity-preserving):
+Two capacity layers ride on the invisibility guarantee, both always on
+and both per-home-parity-preserving:
 
-* **Shared contexts** — :meth:`add_home` interns each fitted detector in
-  a :class:`~repro.core.SharedContextStore`; homes whose trained state is
-  content-identical reference one frozen copy (copy-on-write: the first
-  context refresh forks a private one).  :meth:`memory_report` accounts
-  for the savings.
+* **Shared contexts** — :meth:`add_home` interns each fitted DICE
+  detector in the gateway's :class:`~repro.core.SharedContextStore`;
+  homes whose trained state is content-identical reference one frozen
+  copy (copy-on-write: the first context refresh forks a private one).
+  :meth:`memory_report` accounts for the savings.
 * **Batched tick** — :meth:`dispatch` stages the whole batch once,
   pre-warms each distinct correlation memo once across all homes in the
   batch (one vectorised ``distances_many`` pass instead of per-home
   scalar scans), then drains per home.  Only the fleet-level alert
-  interleaving — unspecified anyway — differs from the per-event path.
+  interleaving — unspecified anyway — differs from feeding each home's
+  standalone runtime event by event.
 """
 
 from __future__ import annotations
@@ -99,17 +100,6 @@ class FleetGateway:
         drops, homes per shard).  Defaults to a fresh private registry so
         fleet-level numbers never mix with any single home's; pass
         ``telemetry.NULL_REGISTRY`` to disable.
-    share_contexts:
-        Intern each :meth:`add_home` detector in the fleet's
-        :class:`~repro.core.SharedContextStore`, so content-identical
-        trained states are stored once (copy-on-write on divergence).
-    batch_tick:
-        Stage each :meth:`dispatch` batch and pre-warm its correlation
-        memos instead of ingesting event by event.  Per-home alert parity
-        is pinned by the test suite; disable only to A/B the paths.
-    context_store:
-        Share an existing store (e.g. across gateways in one process);
-        defaults to a fresh private one.
     """
 
     def __init__(
@@ -117,18 +107,12 @@ class FleetGateway:
         num_shards: int = 4,
         *,
         metrics: Optional["telemetry.MetricsRegistry"] = None,
-        share_contexts: bool = True,
-        batch_tick: bool = True,
-        context_store: Optional[SharedContextStore] = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         self.num_shards = int(num_shards)
-        self.share_contexts = bool(share_contexts)
-        self.batch_tick = bool(batch_tick)
-        self.context_store = (
-            context_store if context_store is not None else SharedContextStore()
-        )
+        #: Content-addressed trained contexts of every hosted DICE home.
+        self.context_store = SharedContextStore()
         self._runtimes: Dict[str, HardenedOnlineDice] = {}
         #: home id → shard label, fixed when the home attaches.
         self._shard_labels: Dict[str, str] = {}
@@ -193,13 +177,13 @@ class FleetGateway:
         *detector* is a fitted :class:`DiceDetector` or any fitted
         :class:`~repro.core.DetectorBackend`.  ``runtime_kwargs`` pass
         through to :class:`HardenedOnlineDice` (lateness budget, supervisor
-        policy, ...).  With context sharing on, a DICE detector is interned
-        *before* the runtime captures its base hash — an adopted detector
-        reuses the canonical copy's.  Backends without a DICE context
-        (Markov, ensembles) skip interning.
+        policy, ...).  A DICE detector is interned *before* the runtime
+        captures its base hash — an adopted detector reuses the canonical
+        copy's.  Backends without a DICE context (Markov, ensembles) skip
+        interning.
         """
         backend = as_backend(detector)
-        if self.share_contexts and backend.dice_detector is not None:
+        if backend.dice_detector is not None:
             self.context_store.intern(backend.dice_detector)
         runtime = HardenedOnlineDice(backend, start=start, **runtime_kwargs)
         return self.add_runtime(home_id, runtime)
@@ -236,20 +220,19 @@ class FleetGateway:
     ) -> List[FleetAlert]:
         """Route one tick's batch of ``(home_id, event)`` pairs.
 
-        Each home sees its events in arrival order.  With the batched tick
-        the whole batch is staged first, each distinct correlation memo is
-        warmed once with every staged window that will consult it, and
-        then every home drains its staged items — alerts come out grouped
-        by home, an interleaving the gateway contract leaves unspecified.
-        Staging pins quarantine bits per window and warming is a pure
-        cache fill, so per-home alert sequences match per-event ingest
-        exactly.  Events addressed to homes this fleet does not host are
-        counted (``dice_fleet_unrouted_total``) and dropped — a router
-        must never crash on a stray tenant id.
+        Each home sees its events in arrival order.  The whole batch is
+        staged first, each distinct correlation memo is warmed once with
+        every staged window that will consult it, and then every home
+        drains its staged items — alerts come out grouped by home, an
+        interleaving the gateway contract leaves unspecified.  Staging
+        pins quarantine bits per window and warming is a pure cache fill,
+        so per-home alert sequences match the home's standalone runtime
+        fed event by event.  Events addressed to homes this fleet does
+        not host are counted (``dice_fleet_unrouted_total``) and dropped —
+        a router must never crash on a stray tenant id.
         """
         runtimes = self._runtimes
         labels = self._shard_labels
-        batch_tick = self.batch_tick
         routed: Dict[str, int] = {}
         staged: Dict[str, List[tuple]] = {}
         fresh: List[FleetAlert] = []
@@ -261,10 +244,6 @@ class FleetGateway:
                 continue
             shard = labels[home_id]
             routed[shard] = routed.get(shard, 0) + 1
-            if not batch_tick:
-                for alert in runtime.ingest(event):
-                    fresh.append(FleetAlert(home_id, alert))
-                continue
             items = staged.get(home_id)
             if items is None:
                 items = staged[home_id] = []

@@ -93,6 +93,9 @@ FRAMES_TOTAL = "dice_service_frames_total"
 SHED_TOTAL = "dice_service_shed_total"
 DUPLICATE_FRAMES_TOTAL = "dice_service_duplicate_frames_total"
 
+#: Events dispatched per gateway batch (amortises the batched tick).
+_DISPATCH_BATCH = 256
+
 _log = telemetry.get_logger("repro.service.server")
 
 
@@ -103,11 +106,8 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is ``server.port``
     http_port: int = 0
-    max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES
     #: Global admitted-event bound; beyond it the server sheds.
     queue_capacity: int = 4096
-    #: Events dispatched per gateway batch (amortises the batched tick).
-    dispatch_batch: int = 256
     #: Idle bound: a connection delivering no bytes for this long is dropped.
     read_timeout_s: float = 10.0
     #: Slow-loris bound: a partial frame pending longer than this is dropped.
@@ -117,6 +117,15 @@ class ServiceConfig:
     #: Artificial per-event dispatch cost — the bench/test hook that makes
     #: overload reproducible without depending on machine speed.
     dispatch_delay_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        # asyncio.Queue(maxsize<=0) is unbounded: the server would never shed.
+        if self.queue_capacity < 1:
+            raise ValueError("queue_capacity must be at least 1")
+        if self.read_timeout_s <= 0:
+            raise ValueError("read_timeout_s must be positive")
+        if self.frame_timeout_s <= 0:
+            raise ValueError("frame_timeout_s must be positive")
 
 
 class _Disconnect(Exception):
@@ -300,7 +309,7 @@ class IngestServer:
                 else:
                     control = item
                     break
-                if len(batch) >= config.dispatch_batch or queue.empty():
+                if len(batch) >= _DISPATCH_BATCH or queue.empty():
                     break
                 item = queue.get_nowait()
             if batch:
@@ -367,7 +376,7 @@ class IngestServer:
         self._connections.add(conn)
         self._conn_counter.inc()
         config = self.config
-        decoder = FrameDecoder(config.max_frame_bytes)
+        decoder = FrameDecoder()
         loop = asyncio.get_running_loop()
         partial_since: Optional[float] = None
         try:

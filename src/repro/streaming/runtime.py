@@ -346,9 +346,7 @@ class HardenedOnlineDice(OnlineDice):
         start: float = 0.0,
         *,
         lateness_seconds: float = 120.0,
-        max_pending: int = 4096,
         policy: SupervisorPolicy = SupervisorPolicy(),
-        max_drop_samples: int = 100,
         refresh: Optional[RefreshPolicy] = None,
         provenance: Optional["telemetry.ProvenanceRecorder"] = None,
     ) -> None:
@@ -381,10 +379,10 @@ class HardenedOnlineDice(OnlineDice):
         # contain the future — records must see the staging-time set.
         self._pinned_quarantined: Optional[List[str]] = None
         registry = backend.registry
-        self.drops = DropLog(max_samples=max_drop_samples, metrics=self.metrics)
+        self.drops = DropLog(metrics=self.metrics)
         self.guard = IngestGuard(registry, self.drops, start=start)
         self.reorder = ReorderBuffer(
-            lateness_seconds, max_pending, self.drops, metrics=self.metrics
+            lateness_seconds, log=self.drops, metrics=self.metrics
         )
         self.supervisor = DeviceSupervisor(
             registry, policy, start=start, metrics=self.metrics

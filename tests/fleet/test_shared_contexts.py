@@ -6,12 +6,13 @@ Two guarantees are pinned here:
   hash equal, interning dedups them onto one frozen model, and
   copy-on-write forking breaks the sharing loudly and privately.
 * **Sharing changes nothing observable per home** — a randomized
-  differential sweep (same stamped fleet, shared+batched vs fully
-  replicated per-event) asserts byte-identical per-home alert sequences
-  and identical per-home telemetry counters (modulo the deliberately
-  shared cache/kernel accounting and wall-clock timings), including a
-  home whose :class:`~repro.streaming.ContextRefresher` forks its
-  context mid-stream.
+  differential sweep (same stamped fleet, the shared+batched gateway vs
+  one standalone runtime per home on a private detector, fed event by
+  event) asserts byte-identical per-home alert sequences and identical
+  per-home telemetry counters (modulo the deliberately shared
+  cache/kernel accounting and wall-clock timings), including a home
+  whose :class:`~repro.streaming.ContextRefresher` forks its context
+  mid-stream.
 """
 
 import json
@@ -34,13 +35,13 @@ from repro.fleet import (
     restore_fleet,
 )
 from repro.fleet.checkpoint import MANIFEST_NAME
-from repro.streaming import CheckpointError, RefreshPolicy
+from repro.streaming import CheckpointError, HardenedOnlineDice, RefreshPolicy
 from tests.fleet.conftest import canon
 
 SEED = 20260808
 
 #: Counter families legitimately allowed to differ between the shared and
-#: replicated arms: the correlation memo is shared across homes (hit/miss
+#: standalone arms: the correlation memo is shared across homes (hit/miss
 #: patterns shift), the kernel/eviction deltas are published owner-only,
 #: and the seconds totals are wall clock.
 _EXCLUDED = ("cache", "kernel", "seconds")
@@ -138,7 +139,7 @@ def test_memory_report_accounts_for_dedup():
 
 
 # --------------------------------------------------------------------- #
-# Differential sweep: shared+batched vs fully replicated
+# Differential sweep: shared+batched gateway vs standalone runtimes
 # --------------------------------------------------------------------- #
 
 
@@ -155,20 +156,17 @@ def _comparable_counters(metrics) -> dict:
     return out
 
 
-def _run_fleet(homes, *, share, shards, tick, refresh_home, refresh_policy):
+def _refresh_kwargs(home, refresh_home, refresh_policy) -> dict:
+    return {"refresh": refresh_policy} if home.home_id == refresh_home else {}
+
+
+def _run_fleet(homes, *, shards, tick, refresh_home, refresh_policy):
     detectors = fit_fleet_detectors(homes)
-    gateway = FleetGateway(
-        shards,
-        metrics=telemetry.NULL_REGISTRY,
-        share_contexts=share,
-        batch_tick=share,
-    )
+    gateway = FleetGateway(shards, metrics=telemetry.NULL_REGISTRY)
     for home in homes:
-        kwargs = {}
-        if home.home_id == refresh_home:
-            kwargs["refresh"] = refresh_policy
         gateway.add_home(
-            home.home_id, detectors[home.home_id], start=home.split, **kwargs
+            home.home_id, detectors[home.home_id], start=home.split,
+            **_refresh_kwargs(home, refresh_home, refresh_policy),
         )
     replay_fleet(gateway, homes, tick_seconds=tick)
     canons = {h.home_id: canon(gateway.alerts_of(h.home_id)) for h in homes}
@@ -177,6 +175,22 @@ def _run_fleet(homes, *, share, shards, tick, refresh_home, refresh_policy):
         for h in homes
     }
     return gateway, canons, counters
+
+
+def _run_standalone(homes, *, refresh_home, refresh_policy):
+    """The replicated reference: each home alone on a private detector."""
+    detectors = fit_fleet_detectors(homes)
+    canons, counters = {}, {}
+    for home in homes:
+        runtime = HardenedOnlineDice(
+            detectors[home.home_id], start=home.split,
+            **_refresh_kwargs(home, refresh_home, refresh_policy),
+        )
+        alerts = runtime.ingest_many(list(home.live))
+        alerts += runtime.finish_stream(home.trace.end)
+        canons[home.home_id] = canon(alerts)
+        counters[home.home_id] = _comparable_counters(runtime.metrics)
+    return canons, counters
 
 
 @pytest.mark.parametrize("trial", range(3))
@@ -195,12 +209,11 @@ def test_sharing_and_batching_are_invisible(trial):
         collect_windows=2, cooldown_windows=5,
     )
     shared_gw, shared_canons, shared_counters = _run_fleet(
-        homes, share=True, shards=shards, tick=tick,
+        homes, shards=shards, tick=tick,
         refresh_home=refresh_home, refresh_policy=policy,
     )
-    _, plain_canons, plain_counters = _run_fleet(
-        homes, share=False, shards=shards, tick=tick,
-        refresh_home=refresh_home, refresh_policy=policy,
+    plain_canons, plain_counters = _run_standalone(
+        homes, refresh_home=refresh_home, refresh_policy=policy
     )
     assert shared_canons == plain_canons
     assert shared_counters == plain_counters
@@ -216,7 +229,7 @@ def test_midstream_refresh_forks_only_its_home():
     )
     refresh_home = homes[0].home_id
     gateway, _, _ = _run_fleet(
-        homes, share=True, shards=2, tick=300.0,
+        homes, shards=2, tick=300.0,
         refresh_home=refresh_home, refresh_policy=policy,
     )
     refreshed = gateway.runtime_of(refresh_home)

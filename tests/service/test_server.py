@@ -99,6 +99,23 @@ def _blast(port: int, home_id: str, events) -> None:
         sock.close()
 
 
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # asyncio.Queue(maxsize<=0) is unbounded: the server never sheds.
+            {"queue_capacity": 0},
+            {"queue_capacity": -5},
+            {"read_timeout_s": 0.0},
+            {"read_timeout_s": -1.0},
+            {"frame_timeout_s": 0.0},
+        ],
+    )
+    def test_invalid_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ServiceConfig(**kwargs)
+
+
 class TestOverload:
     def test_queue_full_sheds_bounded_and_recoverable(self, deployment, tmp_path):
         """A saturated queue sheds (structured OVERLOAD drops + counter +

@@ -1,10 +1,21 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _one_error_line(err: str, event: str, flag: str) -> None:
+    """The error contract: exactly one stderr line, naming the flag."""
+    (line,) = err.splitlines()
+    assert event in line and flag in line, line
 
 
 class TestList:
@@ -106,6 +117,30 @@ class TestStream:
         if alerts_out.exists():  # only created when alerts actually fired
             for line in alerts_out.read_text().splitlines():
                 assert "id" in json.loads(line)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["stream", "houseA", "--lateness", "-1"], "--lateness"),
+            (["stream", "houseA", "--silence", "-1"], "--silence"),
+            (["stream", "houseA", "--quarantine", "10", "--silence", "100"],
+             "--quarantine"),
+            (["stream", "houseA", "--pipe-faults", "reorder", "--pipe-rate", "2"],
+             "--pipe-rate"),
+            (["stream", "houseA", "--hours", "0", "--train-hours", "0"], "--hours"),
+            (["stream", "nosuch"], "nosuch"),
+        ],
+    )
+    def test_bad_parameters_exit_2(self, argv, flag, capsys):
+        assert main(argv) == 2
+        _one_error_line(capsys.readouterr().err, "bad_stream", flag)
+
+    def test_unusable_journal_dir_names_the_journal(self, tmp_path, capsys):
+        # No --resume: the failure is the journal's, never a resume's.
+        journal = tmp_path / "not-a-dir"
+        journal.write_text("x")
+        assert main(self.ARGS + ["--journal-dir", str(journal)]) == 2
+        _one_error_line(capsys.readouterr().err, "journal_replay_failed", str(journal))
 
     def test_alerts_out_requires_journal_dir(self, tmp_path):
         assert (
@@ -217,13 +252,69 @@ class TestFleet:
             ["fleet", "--homes", "2", "--shards", "0"],
             ["fleet", "--homes", "2", "--shards", "-3"],
             ["fleet", "--homes", "2", "--hours", "10", "--train-hours", "10"],
+            ["fleet", "--homes", "2", "--tick", "0"],
+            ["fleet", "--homes", "2", "--lateness", "-1"],
+            ["fleet", "--homes", "2", "--silence", "-1"],
+            ["fleet", "--homes", "2", "--quarantine", "10", "--silence", "100"],
         ],
     )
     def test_bad_parameters_exit_2(self, argv, capsys):
         assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "bad_fleet" in line
 
     def test_resume_garbage_exit_2(self, tmp_path):
         assert main(self.ARGS + ["--resume", str(tmp_path / "nope")]) == 2
+
+
+class TestServe:
+    ARGS = ["serve", "--homes", "1", "--hours", "6", "--train-hours", "4"]
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--port", "99999"], "--port"),
+            (["--lateness", "-1"], "--lateness"),
+            (["--silence", "-1"], "--silence"),
+        ],
+    )
+    def test_bad_parameters_exit_2(self, extra, flag, tmp_path, capsys):
+        argv = self.ARGS + ["--journal-dir", str(tmp_path / "wal")] + extra
+        assert main(argv) == 2
+        _one_error_line(capsys.readouterr().err, "bad_serve", flag)
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--shards", "0"], "--shards"),
+            (["--queue-capacity", "0"], "--queue-capacity"),
+            (["--read-timeout", "0"], "--read-timeout"),
+        ],
+    )
+    def test_misconfigured_server_never_starts(self, extra, flag, tmp_path):
+        # A subprocess with a timeout: a server that accepts one of these
+        # flags starts misconfigured and keeps serving until it is killed.
+        argv = self.ARGS + ["--journal-dir", str(tmp_path / "wal")] + extra
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        _one_error_line(proc.stderr, "bad_serve", flag)
+
+
+class TestSend:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["send", "--homes", "1"], "--port"),
+            (["send", "--port", "1", "--max-attempts", "0"], "--max-attempts"),
+        ],
+    )
+    def test_bad_parameters_exit_2(self, argv, flag, capsys):
+        assert main(argv) == 2
+        _one_error_line(capsys.readouterr().err, "bad_send", flag)
 
 
 class TestExplain:
