@@ -3,10 +3,7 @@
 from .perf import (
     BENCH_SCHEMA,
     DEFAULT_OUTPUT,
-    bench_backends,
-    bench_fleet,
     bench_provenance,
-    bench_service,
     bench_telemetry,
     run_benchmarks,
     validate_document,
@@ -15,10 +12,7 @@ from .perf import (
 __all__ = [
     "BENCH_SCHEMA",
     "DEFAULT_OUTPUT",
-    "bench_backends",
-    "bench_fleet",
     "bench_provenance",
-    "bench_service",
     "bench_telemetry",
     "run_benchmarks",
     "validate_document",

@@ -14,26 +14,10 @@ regress against:
 * **telemetry** — the batched segment pipeline with a live metrics
   registry vs the disabled ``NULL_REGISTRY`` twin, so the instrumentation
   cost stays visible (budget: ≤ 5 % overhead);
-* **eval** — the end-to-end Ch. V protocol with the process-parallel
-  ``EvaluationRunner``, checking that worker counts do not change the
-  aggregate results;
-* **fleet** — the sharded multi-home gateway over a homes x shards grid,
-  asserting per-home alerts stay byte-identical across shard counts;
-* **journal** — the durable gateway's write-ahead journal cost: the same
-  live stream through a plain hardened runtime vs a journaled one under
-  each fsync policy (budget: ≤ 1.5x under ``fsync=never``);
 * **provenance** — the alert-evidence recorder's hot-path cost: the same
   live stream with ``NULL_PROVENANCE`` vs the default recorder (budget:
   ≤ 1.1x events/s — evidence capture must be nearly free because it only
   does work when an alert actually fires);
-* **scenarios** — the scenario-matrix harness (``repro scenarios``) over
-  the drift refresh A/B cells, so the cost of a robustness sweep and the
-  graceful-degradation delta both stay on the trajectory;
-* **service** — the network front-end's cost: the same live stream
-  in-process vs over a loopback ingest socket (framing + asyncio + the
-  thread hop) with alert parity asserted, plus an overload arm proving
-  the bounded queue sheds structurally and a retrying client still lands
-  the complete stream;
 * **capacity** — the estate-scale question: H homes stamped from K
   archetypes, run shared+batched (content-addressed contexts, cross-home
   memo-prewarming tick) vs fully replicated with per-home event loops,
@@ -69,8 +53,10 @@ from ..model import DeviceRegistry, SensorType, binary_sensor
 #: accounting, and effective worker counts in ``eval``; /7 added the
 #: ``provenance`` evidence-recorder overhead section; /8 added the
 #: ``backends`` per-backend streaming comparison section; /9 added the
-#: ``service`` loopback ingest-service overhead + overload section.
-BENCH_SCHEMA = "dice-bench-perf/9"
+#: ``service`` loopback ingest-service overhead + overload section; /10
+#: dropped ``eval``, ``fleet``, ``journal``, ``scenarios``, ``backends``
+#: and ``service``, which perfbench and the test suite measure and hold.
+BENCH_SCHEMA = "dice-bench-perf/10"
 DEFAULT_OUTPUT = "BENCH_perf.json"
 
 
@@ -286,53 +272,6 @@ def bench_scan(
     }
 
 
-def bench_eval(
-    dataset: str,
-    hours: float,
-    precompute_hours: float,
-    pairs: int,
-    seed: int,
-    workers_list: Sequence[int],
-) -> Dict:
-    """End-to-end Ch. V protocol wall clock per worker count."""
-    from ..datasets import load_dataset
-    from ..eval import EvaluationRunner
-
-    data = load_dataset(dataset, seed=seed, hours=hours)
-    runs = []
-    fingerprints = []
-    for workers in workers_list:
-        runner = EvaluationRunner(
-            precompute_hours=precompute_hours,
-            pairs=pairs,
-            seed=seed,
-            workers=workers,
-        )
-        t0 = time.perf_counter()
-        result = runner.evaluate(dataset, data.trace)
-        seconds = time.perf_counter() - t0
-        fingerprints.append(result.aggregate_fingerprint())
-        runs.append(
-            {
-                "workers": int(workers),
-                # The runner caps worker pools at os.cpu_count(); record
-                # what actually ran so trajectories on small machines are
-                # honest about it.
-                "effective_workers": int(runner.workers),
-                "seconds": seconds,
-                "fingerprint": fingerprints[-1],
-                "cache_hit_rate": result.timings.correlation_cache_hit_rate,
-            }
-        )
-    return {
-        "dataset": dataset,
-        "hours": float(hours),
-        "pairs": int(pairs),
-        "runs": runs,
-        "aggregates_identical": len(set(fingerprints)) <= 1,
-    }
-
-
 def _fitted_segment(
     n_groups: int, n_windows: int, num_bits: int, seed: int, metrics=None
 ):
@@ -443,166 +382,6 @@ def bench_telemetry(
     }
 
 
-def bench_fleet(
-    homes_list: Sequence[int],
-    shards_list: Sequence[int],
-    hours: float,
-    train_hours: float,
-    seed: int,
-) -> Dict:
-    """Sharded multi-home gateway scaling: homes x shards wall clock.
-
-    The fleet layer's contract is that sharding is *invisible* — per-home
-    alert sequences are byte-identical for any shard count — so besides
-    the scaling curve this section re-asserts parity on every cell and
-    records the result (CI fails the document if it ever goes false).
-    """
-    from ..fleet import FleetGateway, build_fleet_homes, replay_fleet
-
-    runs = []
-    parity = True
-    for num_homes in homes_list:
-        homes = build_fleet_homes(
-            num_homes, seed=seed, hours=hours, train_hours=train_hours
-        )
-        detectors = {
-            home.home_id: home.fit_detector(metrics=telemetry.NULL_REGISTRY)
-            for home in homes
-        }
-        events = sum(len(home.live) for home in homes)
-        baseline: Optional[Dict[str, str]] = None
-        for num_shards in shards_list:
-            gateway = FleetGateway(num_shards, metrics=telemetry.NULL_REGISTRY)
-            for home in homes:
-                detector = detectors[home.home_id]
-                detector._correlation_checker.clear_cache()
-                gateway.add_home(home.home_id, detector, start=home.split)
-            t0 = time.perf_counter()
-            replay_fleet(gateway, homes)
-            seconds = time.perf_counter() - t0
-            canon = {
-                home.home_id: repr(
-                    [
-                        (a.kind, a.time, a.check, a.cases,
-                         tuple(sorted(a.devices)), a.converged)
-                        for a in gateway.alerts_of(home.home_id)
-                    ]
-                )
-                for home in homes
-            }
-            if baseline is None:
-                baseline = canon
-            elif canon != baseline:
-                parity = False
-            alerts = sum(len(gateway.alerts_of(h.home_id)) for h in homes)
-            runs.append(
-                {
-                    "homes": int(num_homes),
-                    "shards": int(num_shards),
-                    "events": int(events),
-                    "alerts": int(alerts),
-                    "seconds": seconds,
-                    "events_per_s": events / seconds if seconds > 0 else 0.0,
-                    "alerts_per_s": alerts / seconds if seconds > 0 else 0.0,
-                }
-            )
-    return {
-        "hours": float(hours),
-        "train_hours": float(train_hours),
-        "runs": runs,
-        "alerts_identical_across_shards": parity,
-    }
-
-
-def bench_journal(seed: int, hours: float = 4.5, repeats: int = 3) -> Dict:
-    """Write-ahead journal overhead on the durable gateway.
-
-    Streams one seeded chaos deployment's live events through a plain
-    :class:`~repro.streaming.HardenedOnlineDice` and through a one-home
-    :class:`~repro.durability.DurableFleetGateway` under every fsync policy.
-    Baseline and journaled runs are interleaved (like
-    :func:`bench_telemetry`) so machine-load drift hits all arms equally,
-    and every arm's alert stream is asserted identical to the baseline's.
-    The acceptance budget: ``fsync=never`` stays within 1.5x of no journal.
-    """
-    import tempfile
-
-    from ..durability import DurableFleetGateway, FSYNC_POLICIES
-    from ..faults.crash import (
-        LATENESS_SECONDS,
-        POLICY,
-        _fresh_fleet,
-        build_chaos_deployment,
-        canonical_alerts,
-        one_home_stream,
-    )
-    from ..streaming import HardenedOnlineDice
-
-    deployment = build_chaos_deployment(seed, hours=hours)
-    events = deployment.events
-    stream = one_home_stream(deployment)
-
-    def _timed_plain():
-        detector = deployment.fit_detector(metrics=telemetry.NULL_REGISTRY)
-        runtime = HardenedOnlineDice(
-            detector, start=deployment.split,
-            lateness_seconds=LATENESS_SECONDS, policy=POLICY,
-        )
-        t0 = time.perf_counter()
-        alerts = runtime.ingest_many(events)
-        alerts += runtime.finish_stream(deployment.end)
-        return time.perf_counter() - t0, alerts
-
-    def _timed_journal(fsync: str, journal_dir: str):
-        detectors = {
-            deployment.home_id: deployment.fit_detector(
-                metrics=telemetry.NULL_REGISTRY
-            )
-        }
-        durable = DurableFleetGateway(
-            _fresh_fleet([deployment], detectors, 1), journal_dir, fsync=fsync
-        )
-        t0 = time.perf_counter()
-        durable.dispatch(stream)
-        durable.finish(deployment.end)
-        seconds = time.perf_counter() - t0
-        durable.close()
-        return seconds, durable.alerts_of(deployment.home_id)
-
-    baseline_s = float("inf")
-    journal_s = {policy: float("inf") for policy in FSYNC_POLICIES}
-    baseline_canon: Optional[str] = None
-    identical = True
-    with tempfile.TemporaryDirectory(prefix="dice-bench-journal-") as base:
-        for i in range(repeats):
-            seconds, alerts = _timed_plain()
-            baseline_s = min(baseline_s, seconds)
-            if baseline_canon is None:
-                baseline_canon = canonical_alerts(alerts)
-            for policy in FSYNC_POLICIES:
-                seconds, alerts = _timed_journal(
-                    policy, os.path.join(base, f"{policy}-{i}")
-                )
-                journal_s[policy] = min(journal_s[policy], seconds)
-                if canonical_alerts(alerts) != baseline_canon:
-                    identical = False
-    if not identical:
-        raise AssertionError("journaling changed the alert stream")
-
-    def _ratio(seconds: float) -> float:
-        return seconds / baseline_s if baseline_s > 0 else float("inf")
-
-    return {
-        "events": len(events),
-        "alerts": len(alerts),
-        "baseline_s": baseline_s,
-        "journal_s": dict(journal_s),
-        "overhead_ratio": {p: _ratio(s) for p, s in journal_s.items()},
-        "overhead_pct_never": (_ratio(journal_s["never"]) - 1.0) * 100.0,
-        "alerts_identical": identical,
-    }
-
-
 def bench_provenance(seed: int, hours: float = 24.0, repeats: int = 5) -> Dict:
     """Evidence-recorder overhead on the hardened streaming hot path.
 
@@ -674,93 +453,6 @@ def bench_provenance(seed: int, hours: float = 24.0, repeats: int = 5) -> Dict:
         "overhead_pct": (ratio - 1.0) * 100.0,
         "alerts_identical": identical,
     }
-
-
-def bench_scenarios(seed: int, trials: int = 1) -> Dict:
-    """Scenario-matrix wall clock over the drift refresh A/B cells.
-
-    Runs the graceful-degradation pair(s) through the full harness —
-    seeded injection, streaming runtime, report assembly, schema
-    validation — and records both the cost and the sustained-alert-rate
-    delta the refresh buys, so a regression in either shows up on the
-    trajectory."""
-    from ..scenarios import (
-        ScenarioCell,
-        ScenarioSettings,
-        build_report,
-        refresh_pairs,
-        run_matrix,
-        validate_report,
-    )
-
-    cells = [
-        ScenarioCell("drift", variant, "synthetic", refresh=refresh)
-        for variant in ("seasonal_shift", "device_replacement")
-        for refresh in (False, True)
-    ]
-    settings = ScenarioSettings(trials=trials)
-    t0 = time.perf_counter()
-    results = run_matrix(cells, seed=seed, settings=settings)
-    seconds = time.perf_counter() - t0
-    doc = validate_report(
-        build_report(results, seed=seed, settings=settings)
-    )
-    return {
-        "cells": len(cells),
-        "trials": int(trials),
-        "seconds": seconds,
-        "cells_per_s": len(cells) / seconds if seconds > 0 else 0.0,
-        "report_valid": True,
-        "refresh_pairs": refresh_pairs(doc),
-    }
-
-
-def bench_backends(
-    seed: int, hours: float = 9.0, train_hours: float = 3.0
-) -> List[Dict]:
-    """Per-backend streaming cost over one synthetic home.
-
-    Every registered backend fits on the same training prefix and streams
-    the same live segment through the hardened runtime, so the entries
-    compare fit cost and event throughput like-for-like.  Alert counts
-    ride along as a coarse behavioural fingerprint (structure only — the
-    schema never pins measured numbers)."""
-    from ..core import available_backends, create_backend
-    from ..faults.crash import _chaos_registry, _cyclic_trace
-    from ..streaming import HardenedOnlineDice
-
-    rng = np.random.default_rng((int(seed), 23))
-    phase = float(rng.choice([480.0, 600.0, 720.0]))
-    trace = _cyclic_trace(_chaos_registry(), hours, phase)
-    split = trace.start + train_hours * 3600.0
-    train = trace.slice(trace.start, split)
-    live = trace.slice(split, trace.end)
-    events = sum(1 for _ in live)
-    entries: List[Dict] = []
-    for name in available_backends():
-        backend = create_backend(
-            name, trace.registry, metrics=telemetry.NULL_REGISTRY
-        )
-        t0 = time.perf_counter()
-        backend.fit(train)
-        fit_seconds = time.perf_counter() - t0
-        runtime = HardenedOnlineDice(backend, start=split)
-        t0 = time.perf_counter()
-        alerts = runtime.replay(live)
-        stream_seconds = time.perf_counter() - t0
-        entries.append(
-            {
-                "backend": name,
-                "fit_seconds": fit_seconds,
-                "stream_seconds": stream_seconds,
-                "events": events,
-                "events_per_s": (
-                    events / stream_seconds if stream_seconds > 0 else 0.0
-                ),
-                "alerts": len(alerts),
-            }
-        )
-    return entries
 
 
 def _capacity_canon(alerts) -> str:
@@ -957,146 +649,6 @@ def bench_capacity(
     }
 
 
-def bench_service(
-    seed: int, hours: float = 4.5, overload_events: int = 200
-) -> Dict:
-    """Loopback ingest-service cost and overload shedding.
-
-    Three arms over one seeded chaos home:
-
-    * **inprocess** — the live stream dispatched straight into a
-      :class:`~repro.durability.DurableFleetGateway`, the no-network
-      baseline;
-    * **service** — the same stream through a real loopback
-      :class:`~repro.service.IngestServer` on a :class:`ServiceThread`
-      (framing + asyncio + the thread hop), per-home alert parity with the
-      baseline *asserted*;
-    * **overload** — a prefix re-sent against a tiny queue with an
-      artificial per-event dispatch delay, so the offered rate is far
-      above the drain rate on any machine: the queue depth must stay
-      bounded by its capacity, every rejected event must surface as a
-      structured OVERLOAD drop (shed, never buffered or lost silently),
-      and the retrying client must still land the complete stream —
-      overload degrades throughput, not correctness.
-    """
-    import tempfile
-
-    from ..durability import DurableFleetGateway
-    from ..faults.crash import (
-        LATENESS_SECONDS,
-        POLICY,
-        build_chaos_deployment,
-        canonical_alerts,
-    )
-    from ..fleet import FleetGateway
-    from ..service import (
-        IngestServer,
-        ServiceClient,
-        ServiceConfig,
-        ServiceThread,
-    )
-    from ..streaming import HardenedOnlineDice
-    from ..streaming.guard import OVERLOAD
-
-    deployment = build_chaos_deployment(seed, hours=hours)
-    events = deployment.events
-    home = deployment.home_id
-
-    def _gateway(journal_dir: str) -> DurableFleetGateway:
-        gateway = FleetGateway(1, metrics=telemetry.NULL_REGISTRY)
-        gateway.add_runtime(
-            home,
-            HardenedOnlineDice(
-                deployment.fit_detector(metrics=telemetry.NULL_REGISTRY),
-                start=deployment.split,
-                lateness_seconds=LATENESS_SECONDS,
-                policy=POLICY,
-            ),
-        )
-        return DurableFleetGateway(gateway, journal_dir)
-
-    queue_capacity = 8
-    dispatch_delay_s = 0.002
-    with tempfile.TemporaryDirectory(prefix="dice-bench-service-") as base:
-        durable = _gateway(os.path.join(base, "inprocess"))
-        t0 = time.perf_counter()
-        for event in events:
-            durable.dispatch([(home, event)])
-        durable.finish_home(home, deployment.end)
-        inprocess_s = time.perf_counter() - t0
-        baseline_canon = canonical_alerts(durable.alerts_of(home))
-        alerts = len(durable.alerts_of(home))
-        durable.close()
-
-        durable = _gateway(os.path.join(base, "service"))
-        handle = ServiceThread(IngestServer(durable, ServiceConfig())).start()
-        client = ServiceClient("127.0.0.1", handle.port, jitter_seed=seed)
-        t0 = time.perf_counter()
-        client.send_stream(home, events, end=deployment.end)
-        service_s = time.perf_counter() - t0
-        handle.drain()
-        if canonical_alerts(durable.alerts_of(home)) != baseline_canon:
-            raise AssertionError("the ingest service changed the alert stream")
-
-        durable = _gateway(os.path.join(base, "overload"))
-        server = IngestServer(
-            durable,
-            ServiceConfig(
-                queue_capacity=queue_capacity,
-                dispatch_delay_s=dispatch_delay_s,
-                ack_every=16,
-            ),
-        )
-        handle = ServiceThread(server).start()
-        patient = ServiceClient(
-            "127.0.0.1",
-            handle.port,
-            max_attempts=400,
-            base_delay=0.002,
-            max_delay=0.05,
-            jitter_seed=seed,
-        )
-        subset = events[: min(overload_events, len(events))]
-        t0 = time.perf_counter()
-        report = patient.send_stream(home, subset, finish=False)
-        overload_s = time.perf_counter() - t0
-        sheds = handle.call(
-            lambda: durable.runtime_of(home).drops.count(OVERLOAD)
-        )
-        max_depth = handle.call(lambda: server.max_queue_depth)
-        applied = handle.call(lambda: durable.ingest_seqs.get(home, 0))
-        handle.kill()
-
-    return {
-        "events": len(events),
-        "alerts": alerts,
-        "inprocess_s": inprocess_s,
-        "service_s": service_s,
-        "events_per_s_inprocess": (
-            len(events) / inprocess_s if inprocess_s > 0 else 0.0
-        ),
-        "events_per_s_service": (
-            len(events) / service_s if service_s > 0 else 0.0
-        ),
-        "overhead_ratio": (
-            service_s / inprocess_s if inprocess_s > 0 else float("inf")
-        ),
-        "alerts_identical": True,
-        "overload": {
-            "events": len(subset),
-            "queue_capacity": queue_capacity,
-            "dispatch_delay_s": dispatch_delay_s,
-            "seconds": overload_s,
-            "events_per_s": len(subset) / overload_s if overload_s > 0 else 0.0,
-            "sheds": int(sheds),
-            "max_queue_depth": int(max_depth),
-            "reconnects": report.connects,
-            "applied": int(applied),
-            "complete": applied == len(subset),
-        },
-    }
-
-
 # --------------------------------------------------------------------- #
 # Driver
 # --------------------------------------------------------------------- #
@@ -1105,47 +657,28 @@ def bench_service(
 def run_benchmarks(
     quick: bool = False,
     seed: int = 0,
-    dataset: str = "houseA",
     groups: Optional[int] = None,
     windows: Optional[int] = None,
-    workers_list: Optional[Sequence[int]] = None,
     num_bits: int = 96,
     capacity_homes: Optional[int] = None,
 ) -> Dict:
     """Run every section; returns the ``BENCH_perf.json`` document."""
     if quick:
-        groups = groups or 120
-        windows = windows or 800
-        fit_sizes = [500, 2000]
-        eval_hours, eval_precompute, eval_pairs = 100.0, 72.0, 4
-        fleet_homes, fleet_shards = [2, 4], [1, 2, 4]
-        fleet_hours, fleet_train = 30.0, 24.0
-        journal_hours = 4.5
-        scenario_trials = 1
+        default_groups, default_windows, fit_sizes = 120, 800, [500, 2000]
         cap_homes, cap_archetypes, cap_windows, cap_groups = 200, 3, 12, 1024
     else:
-        groups = groups or 500
-        windows = windows or 5000
-        fit_sizes = [2000, 8000, 16000]
-        eval_hours, eval_precompute, eval_pairs = 120.0, 72.0, 12
-        fleet_homes, fleet_shards = [4, 8, 16], [1, 2, 4, 8]
-        fleet_hours, fleet_train = 48.0, 36.0
-        journal_hours = 8.0
-        scenario_trials = 3
+        default_groups, default_windows, fit_sizes = 500, 5000, [2000, 8000, 16000]
         cap_homes, cap_archetypes, cap_windows, cap_groups = 1000, 4, 24, 4096
+    groups = default_groups if groups is None else groups
+    windows = default_windows if windows is None else windows
     if capacity_homes is not None:
         cap_homes = int(capacity_homes)
-    cpus = os.cpu_count() or 1
-    if workers_list is None:
-        # Never request more workers than cores: the runner would cap them
-        # anyway, and duplicate counts would just re-run identical cells.
-        workers_list = sorted({w for w in (1, 2, cpus) if w <= cpus}) or [1]
     doc = {
         "schema": BENCH_SCHEMA,
         "quick": bool(quick),
         "seed": int(seed),
         "machine": {
-            "cpus": cpus,
+            "cpus": os.cpu_count() or 1,
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
@@ -1153,20 +686,10 @@ def run_benchmarks(
         "scan": [bench_scan(groups, windows, num_bits, seed)],
         "segment": bench_detector_segment(groups, windows, num_bits, seed),
         "telemetry": bench_telemetry(groups, windows, num_bits, seed),
-        "eval": bench_eval(
-            dataset, eval_hours, eval_precompute, eval_pairs, seed, workers_list
-        ),
-        "fleet": bench_fleet(
-            fleet_homes, fleet_shards, fleet_hours, fleet_train, seed
-        ),
-        "journal": bench_journal(seed, hours=journal_hours),
-        # A longer stream than the journal section: the recorder's cost is
-        # per *alert*, so the gate needs enough events for the per-event
-        # ratio to dominate setup jitter (the run is still ~2 s).
+        # The recorder's cost is per *alert*, so the gate needs enough
+        # events for the per-event ratio to dominate setup jitter (the run
+        # is still ~2 s).
         "provenance": bench_provenance(seed, hours=24.0),
-        "scenarios": bench_scenarios(seed, trials=scenario_trials),
-        "backends": bench_backends(seed),
-        "service": bench_service(seed),
         "capacity": bench_capacity(
             cap_homes, cap_archetypes, cap_windows, cap_groups,
             num_bits=num_bits, seed=seed,
@@ -1309,102 +832,6 @@ def validate_document(doc: Dict) -> Dict:
         "telemetry.overhead_pct must be a number",
     )
 
-    ev = doc.get("eval")
-    _require(isinstance(ev, dict), "eval must be an object")
-    _require(isinstance(ev.get("dataset"), str), "eval.dataset must be a string")
-    _require(
-        isinstance(ev.get("pairs"), int) and ev["pairs"] > 0,
-        "eval.pairs must be a positive int",
-    )
-    runs = ev.get("runs")
-    _require(isinstance(runs, list) and runs, "eval.runs must be a non-empty list")
-    for run in runs:
-        _require(
-            isinstance(run.get("workers"), int) and run["workers"] >= 1,
-            "eval.runs[].workers must be >= 1",
-        )
-        _require(
-            isinstance(run.get("effective_workers"), int)
-            and 1 <= run["effective_workers"] <= run["workers"],
-            "eval.runs[].effective_workers must be in [1, workers]",
-        )
-        _require(
-            isinstance(run.get("seconds"), (int, float)) and run["seconds"] >= 0,
-            "eval.runs[].seconds must be a non-negative number",
-        )
-        _require(
-            isinstance(run.get("fingerprint"), str) and len(run["fingerprint"]) == 64,
-            "eval.runs[].fingerprint must be a sha256 hex digest",
-        )
-    _require(
-        ev.get("aggregates_identical") is True,
-        "eval.aggregates_identical must be true (worker counts changed results)",
-    )
-
-    fleet = doc.get("fleet")
-    _require(isinstance(fleet, dict), "fleet must be an object")
-    for key in ("hours", "train_hours"):
-        _require(
-            isinstance(fleet.get(key), (int, float)) and fleet[key] > 0,
-            f"fleet.{key} must be a positive number",
-        )
-    fleet_runs = fleet.get("runs")
-    _require(
-        isinstance(fleet_runs, list) and fleet_runs,
-        "fleet.runs must be a non-empty list",
-    )
-    for run in fleet_runs:
-        for key in ("homes", "shards"):
-            _require(
-                isinstance(run.get(key), int) and run[key] >= 1,
-                f"fleet.runs[].{key} must be >= 1",
-            )
-        for key in ("events", "alerts"):
-            _require(
-                isinstance(run.get(key), int) and run[key] >= 0,
-                f"fleet.runs[].{key} must be a non-negative int",
-            )
-        for key in ("seconds", "events_per_s", "alerts_per_s"):
-            _require(
-                isinstance(run.get(key), (int, float)) and run[key] >= 0,
-                f"fleet.runs[].{key} must be a non-negative number",
-            )
-    _require(
-        fleet.get("alerts_identical_across_shards") is True,
-        "fleet.alerts_identical_across_shards must be true "
-        "(sharding changed per-home alerts)",
-    )
-
-    journal = doc.get("journal")
-    _require(isinstance(journal, dict), "journal must be an object")
-    for key in ("events", "alerts"):
-        _require(
-            isinstance(journal.get(key), int) and journal[key] >= 0,
-            f"journal.{key} must be a non-negative int",
-        )
-    _require(journal.get("events", 0) > 0, "journal.events must be positive")
-    _require(
-        isinstance(journal.get("baseline_s"), (int, float))
-        and journal["baseline_s"] >= 0,
-        "journal.baseline_s must be a non-negative number",
-    )
-    for section in ("journal_s", "overhead_ratio"):
-        block = journal.get(section)
-        _require(isinstance(block, dict), f"journal.{section} must be an object")
-        for policy in ("never", "interval", "always"):
-            _require(
-                isinstance(block.get(policy), (int, float)) and block[policy] >= 0,
-                f"journal.{section}.{policy} must be a non-negative number",
-            )
-    _require(
-        isinstance(journal.get("overhead_pct_never"), (int, float)),
-        "journal.overhead_pct_never must be a number",
-    )
-    _require(
-        journal.get("alerts_identical") is True,
-        "journal.alerts_identical must be true (journaling changed alerts)",
-    )
-
     prov = doc.get("provenance")
     _require(isinstance(prov, dict), "provenance must be an object")
     for key in ("events", "alerts", "records"):
@@ -1432,122 +859,6 @@ def validate_document(doc: Dict) -> Dict:
         prov.get("alerts_identical") is True,
         "provenance.alerts_identical must be true "
         "(evidence capture changed the alert stream)",
-    )
-
-    scenarios = doc.get("scenarios")
-    _require(isinstance(scenarios, dict), "scenarios must be an object")
-    for key in ("cells", "trials"):
-        _require(
-            isinstance(scenarios.get(key), int) and scenarios[key] >= 1,
-            f"scenarios.{key} must be a positive int",
-        )
-    for key in ("seconds", "cells_per_s"):
-        _require(
-            isinstance(scenarios.get(key), (int, float)) and scenarios[key] >= 0,
-            f"scenarios.{key} must be a non-negative number",
-        )
-    _require(
-        scenarios.get("report_valid") is True,
-        "scenarios.report_valid must be true (scenario report failed validation)",
-    )
-    pairs = scenarios.get("refresh_pairs")
-    _require(
-        isinstance(pairs, list) and pairs,
-        "scenarios.refresh_pairs must be a non-empty list",
-    )
-    for pair in pairs:
-        _require(
-            isinstance(pair, dict) and isinstance(pair.get("variant"), str),
-            "scenarios.refresh_pairs[].variant must be a string",
-        )
-        for key in ("plain", "refresh"):
-            _require(
-                pair.get(key) is None
-                or (isinstance(pair[key], (int, float)) and pair[key] >= 0),
-                f"scenarios.refresh_pairs[].{key} must be a "
-                "non-negative number or null",
-            )
-
-    backends = doc.get("backends")
-    _require(
-        isinstance(backends, list) and backends,
-        "backends must be a non-empty list",
-    )
-    backend_names = [entry.get("backend") for entry in backends]
-    _require(
-        backend_names == sorted(set(backend_names))
-        and all(isinstance(n, str) and n for n in backend_names),
-        "backends[].backend must be unique sorted names",
-    )
-    _require(
-        "dice" in backend_names,
-        "backends must include the dice reference backend",
-    )
-    for entry in backends:
-        name = entry.get("backend")
-        for key in ("fit_seconds", "stream_seconds", "events_per_s"):
-            _require(
-                isinstance(entry.get(key), (int, float)) and entry[key] >= 0,
-                f"backends[{name}].{key} must be a non-negative number",
-            )
-        for key in ("events", "alerts"):
-            _require(
-                isinstance(entry.get(key), int) and entry[key] >= 0,
-                f"backends[{name}].{key} must be a non-negative int",
-            )
-
-    service = doc.get("service")
-    _require(isinstance(service, dict), "service must be an object")
-    for key in ("events", "alerts"):
-        _require(
-            isinstance(service.get(key), int) and service[key] >= 0,
-            f"service.{key} must be a non-negative int",
-        )
-    _require(service.get("events", 0) > 0, "service.events must be positive")
-    for key in (
-        "inprocess_s",
-        "service_s",
-        "events_per_s_inprocess",
-        "events_per_s_service",
-        "overhead_ratio",
-    ):
-        _require(
-            isinstance(service.get(key), (int, float)) and service[key] >= 0,
-            f"service.{key} must be a non-negative number",
-        )
-    _require(
-        service.get("alerts_identical") is True,
-        "service.alerts_identical must be true "
-        "(the ingest service changed the alert stream)",
-    )
-    overload = service.get("overload")
-    _require(isinstance(overload, dict), "service.overload must be an object")
-    for key in ("events", "queue_capacity", "reconnects", "applied"):
-        _require(
-            isinstance(overload.get(key), int) and overload[key] >= 1,
-            f"service.overload.{key} must be a positive int",
-        )
-    for key in ("seconds", "events_per_s", "dispatch_delay_s"):
-        _require(
-            isinstance(overload.get(key), (int, float)) and overload[key] >= 0,
-            f"service.overload.{key} must be a non-negative number",
-        )
-    # The shedding claims are load-shaped by construction (offered rate
-    # >> drain rate), so they *are* enforced: the queue must actually
-    # overflow, depth must stay bounded, and the stream must complete.
-    _require(
-        isinstance(overload.get("sheds"), int) and overload["sheds"] >= 1,
-        "service.overload.sheds must be >= 1 (the overload arm never shed)",
-    )
-    _require(
-        isinstance(overload.get("max_queue_depth"), int)
-        and 1 <= overload["max_queue_depth"] <= overload["queue_capacity"],
-        "service.overload.max_queue_depth must stay within queue_capacity",
-    )
-    _require(
-        overload.get("complete") is True,
-        "service.overload.complete must be true "
-        "(the retrying client never landed the full stream)",
     )
 
     cap = doc.get("capacity")

@@ -18,8 +18,7 @@ The subcommands cover the everyday workflows:
   fleet-wide checkpoint/restore (``--save-checkpoint``/``--resume``),
   merged telemetry (``--metrics-out``), archetype stamping
   (``--unique-homes``) and shared-context memory accounting
-  (``--report-memory``; opt out of the capacity layers with
-  ``--no-share-contexts``/``--no-batch-tick``);
+  (``--report-memory``);
 * ``serve`` — run the durable fleet as a long-lived network service:
   a binary CRC-framed ingest port with bounded-queue admission control
   plus an HTTP surface (``/metrics`` Prometheus exposition, ``/health``,
@@ -51,9 +50,10 @@ The subcommands cover the everyday workflows:
   and print per-cell precision/recall/detection-time (``-o`` writes the
   schema-validated deterministic report JSON);
 * ``bench`` — time the detection hot paths (fit, scalar vs memoised vs
-  batched correlation scan, parallel evaluation, telemetry overhead, fleet
-  homes x shards scaling, write-ahead journal overhead, the scenario
-  matrix, estate-scale capacity A/B) and write ``BENCH_perf.json``.
+  batched correlation scan, the segment pipeline, telemetry and
+  provenance overhead, estate-scale capacity A/B) and write
+  ``BENCH_perf.json``; ``perfbench/`` is the benchmark of record for the
+  served and evaluation paths.
 
 Primary results go to **stdout**; diagnostics (resume/checkpoint notices,
 errors, state changes) go through the structured logger on stderr —
@@ -143,16 +143,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default="BENCH_perf.json", help="output JSON path"
     )
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--dataset", default="houseA", help="end-to-end eval dataset")
     bench.add_argument(
         "--groups", type=int, default=None, help="scan section: group count"
     )
     bench.add_argument(
         "--windows", type=int, default=None, help="scan section: window count"
-    )
-    bench.add_argument(
-        "--workers", type=_worker_count, nargs="*", default=None,
-        help="worker counts for the end-to-end eval section",
     )
     bench.add_argument(
         "--capacity-homes", type=int, default=None, metavar="H",
@@ -601,6 +596,9 @@ def _cmd_list() -> int:
 def _cmd_generate(args) -> int:
     from .datasets import load_dataset, write_trace
 
+    checks = [(args.hours is None or args.hours > 0, "--hours must be positive")]
+    if not _flags_ok("bad_generate", checks):
+        return 2
     data = load_dataset(args.dataset, seed=args.seed, hours=args.hours)
     write_trace(data.trace, args.output)
     print(
@@ -610,10 +608,21 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _protocol_checks(args) -> list:
+    """Range checks of the Ch. V protocol flags ``evaluate`` and
+    ``experiment`` share, run before any trace is generated."""
+    return [
+        (args.scale > 0, "--scale must be positive"),
+        (args.pairs >= 1, "--pairs must be at least 1"),
+    ]
+
+
 def _cmd_evaluate(args) -> int:
     from .datasets import load_dataset
     from .eval import EvaluationRunner
 
+    if not _flags_ok("bad_evaluate", _protocol_checks(args)):
+        return 2
     hours = None if args.scale == 1.0 else data_hours(args.dataset, args.scale)
     data = load_dataset(args.dataset, seed=args.seed, hours=hours)
     runner = EvaluationRunner(
@@ -662,6 +671,8 @@ def _cmd_experiment(args) -> int:
         timing,
     )
 
+    if not _flags_ok("bad_experiment", _protocol_checks(args)):
+        return 2
     settings = ProtocolSettings(
         hours_scale=args.scale, pairs=args.pairs, seed=args.seed,
         workers=args.workers,
@@ -1295,6 +1306,9 @@ def _cmd_scenarios(args) -> int:
         write_report,
     )
 
+    checks = [(args.trials >= 1, "--trials must be at least 1")]
+    if not _flags_ok("bad_scenarios", checks):
+        return 2
     backends = tuple(args.backends) if args.backends else ("dice",)
     for backend in backends:
         if backend not in available_backends():
@@ -1520,13 +1534,21 @@ def _cmd_bench(args) -> int:
     from .bench import run_benchmarks
     from .bench.perf import write_document
 
+    checks = [
+        (value is None or value >= 1, f"{flag} must be at least 1")
+        for flag, value in (
+            ("--groups", args.groups),
+            ("--windows", args.windows),
+            ("--capacity-homes", args.capacity_homes),
+        )
+    ]
+    if not _flags_ok("bad_bench", checks):
+        return 2
     doc = run_benchmarks(
         quick=args.quick,
         seed=args.seed,
-        dataset=args.dataset,
         groups=args.groups,
         windows=args.windows,
-        workers_list=args.workers,
         capacity_homes=args.capacity_homes,
     )
     write_document(doc, args.output)
@@ -1547,63 +1569,6 @@ def _cmd_bench(args) -> int:
     print(
         f"telemetry: overhead {tel['overhead_pct']:+.1f}% "
         f"({1e3 * tel['disabled_s']:.1f} -> {1e3 * tel['enabled_s']:.1f} ms)"
-    )
-    for run in doc["eval"]["runs"]:
-        print(
-            f"eval[{doc['eval']['dataset']}]: workers={run['workers']} "
-            f"(effective {run['effective_workers']}) "
-            f"{run['seconds']:.2f}s  cache hit rate {100 * run['cache_hit_rate']:.1f}%"
-        )
-    print(
-        "eval aggregates identical across worker counts: "
-        f"{doc['eval']['aggregates_identical']}"
-    )
-    for run in doc["fleet"]["runs"]:
-        print(
-            f"fleet: homes={run['homes']} shards={run['shards']} "
-            f"{run['seconds']:.2f}s  {run['events_per_s']:.0f} events/s  "
-            f"{run['alerts_per_s']:.0f} alerts/s"
-        )
-    print(
-        "fleet alerts identical across shard counts: "
-        f"{doc['fleet']['alerts_identical_across_shards']}"
-    )
-    journal = doc["journal"]
-    print(
-        f"journal: {journal['events']} events  "
-        f"overhead never {journal['overhead_pct_never']:+.1f}%  "
-        f"(interval {journal['overhead_ratio']['interval']:.2f}x, "
-        f"always {journal['overhead_ratio']['always']:.2f}x)"
-    )
-    scenarios = doc["scenarios"]
-    print(
-        f"scenarios: {scenarios['cells']} cells x {scenarios['trials']} trials "
-        f"in {scenarios['seconds']:.2f}s"
-    )
-    for pair in scenarios["refresh_pairs"]:
-        print(
-            f"scenarios drift {pair['variant']}: sustained alerts/h "
-            f"{pair['plain']} (plain) -> {pair['refresh']} (refresh)"
-        )
-    for entry in doc["backends"]:
-        print(
-            f"backend[{entry['backend']}]: fit {entry['fit_seconds']:.2f}s  "
-            f"{entry['events_per_s']:.0f} events/s  "
-            f"{entry['alerts']} alerts"
-        )
-    service = doc["service"]
-    print(
-        f"service: {service['events_per_s_service']:.0f} events/s over "
-        f"loopback vs {service['events_per_s_inprocess']:.0f} in-process "
-        f"({service['overhead_ratio']:.2f}x), parity "
-        f"{service['alerts_identical']}"
-    )
-    overload = service["overload"]
-    print(
-        f"service overload: queue {overload['queue_capacity']} "
-        f"(max depth {overload['max_queue_depth']})  "
-        f"{overload['sheds']} sheds  {overload['reconnects']} reconnects  "
-        f"complete {overload['complete']}"
     )
     cap = doc["capacity"]
     print(

@@ -1,5 +1,6 @@
 """Tests for the correlation and transition checks (§3.3)."""
 
+import random
 
 from repro.core import (
     BitLayout,
@@ -10,6 +11,7 @@ from repro.core import (
     TransitionChecker,
     TransitionModel,
 )
+from repro.model import DeviceRegistry, SensorType, binary_sensor
 
 
 def groups_with(registry, masks):
@@ -55,6 +57,60 @@ class TestCorrelationChecker:
         checker = CorrelationChecker(groups, DiceConfig(max_candidate_distance=1))
         hits = checker.nearest(0, limit_distance=5)
         assert hits and hits[0][1] == 5
+
+
+def _candidates(result):
+    """The main group (distance 0) and every probable group."""
+    main = () if result.main_group is None else ((result.main_group, 0),)
+    return set(main + result.probable_groups)
+
+
+class TestHammingBound:
+    def test_raising_the_bound_never_removes_a_candidate(self):
+        # Metamorphic: a group within Hamming distance d of a window is also
+        # within d + 1, so widening the bound may only add candidates, on
+        # the scalar and the batched path alike.
+        rng = random.Random(20261017)
+        checks = widened = 0
+        for _ in range(24):
+            num_bits = rng.choice([6, 12, 40, 70])
+            registry = DeviceRegistry(
+                [
+                    binary_sensor(f"s{i}", SensorType.MOTION, f"room{i % 4}")
+                    for i in range(num_bits)
+                ]
+            )
+            masks = sorted(
+                {
+                    rng.getrandbits(num_bits) & rng.getrandbits(num_bits)
+                    for _ in range(rng.randrange(1, 80))
+                }
+            )
+            groups = groups_with(registry, masks)
+            probes = []
+            for _ in range(rng.choice([20, 100])):
+                mask = rng.choice(masks)
+                for _ in range(rng.randrange(5)):
+                    mask ^= 1 << rng.randrange(num_bits)
+                probes.append(mask)
+            for d in range(1, 6):
+
+                def narrow_and_wide():
+                    return [
+                        CorrelationChecker(groups, DiceConfig(max_candidate_distance=n))
+                        for n in (d, d + 1)
+                    ]
+
+                narrow, wide = narrow_and_wide()
+                pairs = list(zip(narrow.check_many(probes), wide.check_many(probes)))
+                narrow, wide = narrow_and_wide()
+                pairs += [(narrow.check(mask), wide.check(mask)) for mask in probes]
+                for small, large in pairs:
+                    assert small.main_group == large.main_group
+                    assert _candidates(small) <= _candidates(large)
+                    widened += _candidates(small) < _candidates(large)
+                checks += 2 * len(pairs)
+        assert checks > 10_000 and widened > 0
 
 
 def model_from(sequence, activations=None):

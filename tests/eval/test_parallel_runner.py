@@ -1,5 +1,7 @@
 """Process-parallel evaluation must be byte-identical to sequential."""
 
+import os
+
 import pytest
 
 from repro.eval import EvaluationRunner
@@ -56,6 +58,14 @@ class TestRunnerValidation:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             EvaluationRunner(workers=0)
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # ``workers`` is the pool size the runner actually uses: an
+        # over-ask runs on every core, never more; an under-ask is kept.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert EvaluationRunner(workers=9).workers == 4
+        assert EvaluationRunner(workers=4).workers == 4
+        assert EvaluationRunner(workers=3).workers == 3
 
     def test_contiguous_chunks_preserve_order(self):
         items = list(range(10))

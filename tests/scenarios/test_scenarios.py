@@ -1,8 +1,9 @@
 """Tests for the scenario-matrix harness.
 
 The expensive end-to-end properties run on the cheap synthetic drift
-cells only (a 9 h cyclic home); the full default matrix is exercised by
-the CI scenario-smoke job and the bench harness, not here.
+cells only (a 9 h cyclic home).  The CI scenario-smoke job runs one cell
+per axis; neither CI nor the bench runs the full default matrix (that is
+``repro scenarios`` without ``--cells``).
 """
 
 import json

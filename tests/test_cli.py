@@ -45,6 +45,14 @@ class TestGenerate:
         trace = read_trace(str(out_path))
         assert len(trace.registry) == 14
 
+    @pytest.mark.parametrize("hours", ["0", "-2"])
+    def test_bad_parameters_exit_2(self, hours, tmp_path, capsys):
+        out_path = tmp_path / "trace.csv"
+        argv = ["generate", "houseA", "--hours", hours, "-o", str(out_path)]
+        assert main(argv) == 2
+        _one_error_line(capsys.readouterr().err, "bad_generate", "--hours")
+        assert not out_path.exists()
+
 
 class TestEvaluate:
     def test_prints_metrics(self, capsys):
@@ -56,6 +64,19 @@ class TestEvaluate:
         assert "detection:" in out
         assert "identification:" in out
         assert "correlation degree:" in out
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["evaluate", "houseA", "--scale", "0"], "--scale"),
+            (["evaluate", "houseA", "--scale", "-1"], "--scale"),
+            (["evaluate", "houseA", "--pairs", "0"], "--pairs"),
+            (["evaluate", "houseA", "--pairs", "-3"], "--pairs"),
+        ],
+    )
+    def test_bad_parameters_exit_2(self, argv, flag, capsys):
+        assert main(argv) == 2
+        _one_error_line(capsys.readouterr().err, "bad_evaluate", flag)
 
 
 class TestStream:
@@ -413,6 +434,11 @@ class TestScenarios:
     def test_bad_cell_filter_exits_2(self):
         assert main(["scenarios", "--cells", "no_such_cell"]) == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_bad_parameters_exit_2(self, trials, capsys):
+        assert main(["scenarios", "--trials", trials]) == 2
+        _one_error_line(capsys.readouterr().err, "bad_scenarios", "--trials")
+
 
 class TestMetrics:
     def _snapshot(self, tmp_path):
@@ -469,6 +495,18 @@ class TestExperiment:
         with pytest.raises(SystemExit):
             main(["experiment", "nope"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["experiment", "accuracy", "--scale", "0"], "--scale"),
+            (["experiment", "accuracy", "--scale", "-1"], "--scale"),
+            (["experiment", "accuracy", "--pairs", "0"], "--pairs"),
+        ],
+    )
+    def test_bad_parameters_exit_2(self, argv, flag, capsys):
+        assert main(argv) == 2
+        _one_error_line(capsys.readouterr().err, "bad_experiment", flag)
+
 
 class TestBench:
     def test_quick_bench_writes_valid_document(self, tmp_path, capsys):
@@ -482,7 +520,6 @@ class TestBench:
                 "bench", "--quick",
                 "--groups", "40",
                 "--windows", "200",
-                "--workers", "1", "2",
                 "-o", str(out),
             ]
         )
@@ -492,12 +529,6 @@ class TestBench:
         assert doc["schema"] == BENCH_SCHEMA
         assert validate_document(doc) is doc
         assert doc["scan"][0]["groups"] == 40
-        assert doc["eval"]["aggregates_identical"] is True
-        assert [run["workers"] for run in doc["eval"]["runs"]] == [1, 2]
-        assert doc["journal"]["alerts_identical"] is True
-        assert set(doc["journal"]["overhead_ratio"]) == {
-            "never", "interval", "always",
-        }
         assert doc["provenance"]["alerts_identical"] is True
         assert doc["provenance"]["events"] > 0
         assert doc["provenance"]["overhead_ratio"] >= 0
@@ -507,9 +538,19 @@ class TestBench:
         with pytest.raises(ValueError):
             validate_document(bad)
         bad = json.loads(out.read_text())
-        bad["eval"]["aggregates_identical"] = False
+        bad["capacity"]["alerts_identical"] = False
         with pytest.raises(ValueError):
             validate_document(bad)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--groups", "0"), ("--windows", "-5"), ("--capacity-homes", "0")],
+    )
+    def test_bad_parameters_exit_2(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--quick", flag, value, "-o", str(out)]) == 2
+        _one_error_line(capsys.readouterr().err, "bad_bench", flag)
+        assert not out.exists()
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

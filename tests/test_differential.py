@@ -20,6 +20,11 @@ platforms and numpy versions):
   (both its XOR-popcount and GEMM bit-plane kernels) must agree with the
   obvious ``(a ^ b).bit_count()`` oracle for every bit width straddling
   the 64-bit word boundaries.
+
+The detector core has no independent twin for absolute time, so one
+metamorphic relation covers it: shifting a deployment's training trace
+and live segment by a whole number of windows shifts every batch and
+streamed alert by the same amount and changes nothing else.
 """
 
 import random
@@ -278,3 +283,58 @@ def test_distances_many_degenerate_shapes():
     # Degenerate calls return early without picking a kernel.
     assert packed.kernel_calls == {"gemm": 0, "xor": 0}
     assert empty.kernel_calls == {"gemm": 0, "xor": 0}
+
+
+# ---------------------------------------------------------------------------
+# Part C: shifting time by whole windows shifts the alerts
+# ---------------------------------------------------------------------------
+
+
+def _shift_views(alerts, dt):
+    """Alerts without their times, and their times with *dt* taken off."""
+    views = [
+        (a.kind, a.check, a.cases, tuple(sorted(a.devices)), a.converged)
+        for a in alerts
+    ]
+    return views, [a.time - dt for a in alerts]
+
+
+def test_time_shift_shifts_alerts_by_the_same_amount():
+    rng = random.Random(SEED + 3)
+    totals = {"batch": 0, "streamed": 0}
+    for trial in range(TRIALS):
+        registry = _build_registry(
+            rng.randrange(1, 6), rng.random() < 0.5, rng.random() < 0.5
+        )
+        hours = rng.choice([4.0, 6.0, 8.0])
+        trace = _build_trace(rng, registry, hours, rng.choice([300.0, 600.0, 900.0]))
+        split = hours * HOUR * rng.uniform(0.6, 0.75)
+        train = trace.slice(0.0, split)
+        live = _perturb(
+            rng,
+            trace.slice(split, hours * HOUR),
+            PERTURBATIONS[trial % len(PERTURBATIONS)],
+        )
+        dt = 60.0 * rng.randrange(1, 100_000)
+        runs = []
+        for shift in (0.0, dt):
+            detector = DiceDetector(registry).fit(train.shifted(shift))
+            segment = live.shifted(shift)
+            online = OnlineDice(detector, start=segment.start)
+            online.replay(segment)
+            runs.append(
+                {
+                    "batch": _shift_views(detector.process(segment).alerts, shift),
+                    "streamed": _shift_views(online.alerts, shift),
+                }
+            )
+        for path in totals:
+            (views, times), (moved_views, moved_times) = runs[0][path], runs[1][path]
+            assert moved_views == views, f"trial {trial}: {path} alerts changed"
+            # The fractional split rounds differently once shifted.
+            assert moved_times == pytest.approx(times, abs=1e-6), (
+                f"trial {trial}: {path} alert times moved by other than {dt} s"
+            )
+            totals[path] += len(views)
+    # The relation must be checked on alerts, not on silence.
+    assert min(totals.values()) > 50, totals
