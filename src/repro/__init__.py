@@ -12,12 +12,12 @@ Quick tour
 Subpackages
 -----------
 ``repro.model``      devices, events, array-backed traces
-``repro.core``       the DICE algorithm (the paper's contribution)
+``repro.core``       the DICE algorithm (the paper's contribution), its
+                     detector backends and the Table 2.1 comparators
 ``repro.smarthome``  smart-home simulator (floor plan, physics, residents)
 ``repro.datasets``   the ten evaluation datasets of Table 4.1
 ``repro.faults``     fault injection (Ch. IV) and security attacks (Ch. VI)
 ``repro.eval``       metrics and the experiments behind every table/figure
-``repro.baselines``  comparator detectors (Table 2.1 families)
 ``repro.streaming``  online, event-at-a-time DICE runtime
 """
 

@@ -1306,10 +1306,13 @@ def _cmd_scenarios(args) -> int:
         write_report,
     )
 
-    checks = [(args.trials >= 1, "--trials must be at least 1")]
+    backends = tuple(args.backends) if args.backends else ("dice",)
+    checks = [
+        (args.trials >= 1, "--trials must be at least 1"),
+        (len(set(backends)) == len(backends), "--backend must not repeat a name"),
+    ]
     if not _flags_ok("bad_scenarios", checks):
         return 2
-    backends = tuple(args.backends) if args.backends else ("dice",)
     for backend in backends:
         if backend not in available_backends():
             valid = ", ".join(available_backends())

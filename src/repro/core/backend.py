@@ -38,6 +38,8 @@ Three backends register here:
   observed in training;
 * ``ensemble`` — N child backends voting on alerts with a quorum.
 
+The five Table 2.1 comparators register in :mod:`repro.core.comparators`.
+
 The base class owns the only detect-then-identify loop (§3.3-3.4,
 Fig. 3.2): :meth:`DetectorBackend.observe_window` runs it on one streamed
 window, :meth:`DetectorBackend.run_segment` on a whole batch segment.
@@ -50,11 +52,13 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
     FrozenSet,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -66,7 +70,7 @@ import numpy as np
 from .. import telemetry
 from ..model import DeviceRegistry, Trace
 from .checks import CorrelationResult, TransitionCase
-from .config import DEFAULT_CONFIG, KNOWN_BACKENDS, DiceConfig
+from .config import DEFAULT_CONFIG, DiceConfig
 from .detector import (
     CORRELATION_CHECK,
     STAGE_SECONDS_HISTOGRAM,
@@ -128,6 +132,10 @@ class WindowOutcome:
     drift_signal: bool = False
 
 
+#: The window means of a window nobody computed them for.
+_NO_MEANS: Mapping[str, float] = MappingProxyType({})
+
+
 class _BatchWindow(NamedTuple):
     """Duck-typed window snapshot for the batch path (kept local so
     ``repro.core`` never imports ``repro.streaming``)."""
@@ -137,6 +145,7 @@ class _BatchWindow(NamedTuple):
     end: float
     mask: int
     actuator_activations: FrozenSet[str] = frozenset()
+    means: Mapping[str, float] = _NO_MEANS
 
 
 class _SegmentWindows:
@@ -150,7 +159,10 @@ class _SegmentWindows:
         w = self.windowed
         start = w.window_start(i)
         end = start + w.window_seconds
-        return _BatchWindow(i, start, end, w.masks[i], w.actuator_activations[i])
+        means = _NO_MEANS if w.means is None else w.means[i]
+        return _BatchWindow(
+            i, start, end, w.masks[i], w.actuator_activations[i], means
+        )
 
 
 #: What a window without a violation feeds an open session (§3.4).
@@ -159,6 +171,10 @@ _NO_EVIDENCE = ProbableFaultSet(frozenset())
 #: DICE's batch verdict for a window without a violation: nothing reads
 #: its payload, so every such window shares it.
 _PASS = WindowVerdict(False)
+
+#: DICE's correlation result for a window with every sensor quarantined:
+#: no main group, and nothing checked.
+_BLIND = CorrelationResult(0, None, ())
 
 
 class DetectorBackend:
@@ -457,6 +473,9 @@ class DiceBackend(DetectorBackend):
 
     name = "dice"
 
+    #: Whether the transition check runs (``correlation-only`` drops it).
+    checks_transitions = True
+
     def __init__(self, detector: DiceDetector) -> None:
         super().__init__(
             detector.registry,
@@ -470,10 +489,14 @@ class DiceBackend(DetectorBackend):
         self._prev_group: Optional[int] = None
         self._anchor_group: Optional[int] = None
         self._prev_acts: FrozenSet[str] = frozenset()
-        self._last_check: Tuple[CorrelationResult, tuple] = (
-            CorrelationResult(0, None, ()),
-            (),
-        )
+        self._last_check: Tuple[CorrelationResult, tuple] = (_BLIND, ())
+
+    @classmethod
+    def create(
+        cls, registry, config=DEFAULT_CONFIG, *, weights=None, metrics=None
+    ) -> "DiceBackend":
+        """Registry factory: this backend over a fresh :class:`DiceDetector`."""
+        return cls(DiceDetector(registry, config, weights, metrics=metrics))
 
     @property
     def is_fitted(self) -> bool:
@@ -522,13 +545,21 @@ class DiceBackend(DetectorBackend):
 
     def check(self, snapshot, qbits: int = 0) -> WindowVerdict:
         detector = self.dice_detector
+        if qbits and not ~qbits & ((1 << self.encoder.layout.num_bits) - 1):
+            # Every sensor bit is quarantined, so no evidence is left and
+            # no check runs.  The next window then has no previous group;
+            # the anchor group stays.
+            self._last_check = (_BLIND, ())
+            return WindowVerdict(
+                False, payload=(_BLIND, (), self._prev_group, self._anchor_group)
+            )
         observe = self._stage_obs
         with self.tracer.trace("correlation"):
             t0 = time.perf_counter()
             corr = self._check_correlation(snapshot.mask, qbits)
             observe["correlation"].observe(time.perf_counter() - t0)
         violations: tuple = ()
-        if not corr.is_violation:
+        if not corr.is_violation and self.checks_transitions:
             with self.tracer.trace("transition"):
                 t0 = time.perf_counter()
                 violations = tuple(
@@ -624,7 +655,7 @@ class DiceBackend(DetectorBackend):
     def batch_twin(self) -> "DiceBackend":
         # A fresh wrap over the same fitted detector: clean transient
         # streaming state, shared trained model.
-        return DiceBackend(self.dice_detector)
+        return type(self)(self.dice_detector)
 
     # -- evidence / telemetry --------------------------------------------- #
 
@@ -1153,25 +1184,6 @@ def as_backend(obj) -> DetectorBackend:
     )
 
 
-def _dice_factory(registry, config=DEFAULT_CONFIG, *, weights=None, metrics=None):
-    return DiceBackend(DiceDetector(registry, config, weights, metrics=metrics))
-
-
-def _markov_factory(registry, config=DEFAULT_CONFIG, *, weights=None, metrics=None):
-    return MarkovBackend(registry, config, weights, metrics=metrics)
-
-
-def _ensemble_factory(registry, config=DEFAULT_CONFIG, *, weights=None, metrics=None):
-    return EnsembleBackend(registry, config, weights, metrics=metrics)
-
-
-register_backend("dice", _dice_factory)
-register_backend("markov", _markov_factory)
-register_backend("ensemble", _ensemble_factory)
-
-# The config-side name list must cover the built-in registry, so a bad
-# ``DiceConfig(backend=...)`` fails at construction with the same message
-# shape as ``create_backend``.
-assert set(KNOWN_BACKENDS) == set(_BACKENDS), (
-    "KNOWN_BACKENDS out of sync with the backend registry"
-)
+register_backend("dice", DiceBackend.create)
+register_backend("markov", MarkovBackend)
+register_backend("ensemble", EnsembleBackend)

@@ -29,10 +29,20 @@ from typing import Optional
 BITS_PER_BINARY_DEVICE = 1
 BITS_PER_NUMERIC_SENSOR = 3
 
-#: Names of the built-in detector backends (see ``repro.core.backend``).
+#: Names of the built-in detector backends (see ``repro.core.backend`` and
+#: ``repro.core.comparators``).
 #: Kept here — not derived from the backend registry — so config validation
 #: never imports the backend module (which imports this one).
-KNOWN_BACKENDS = ("dice", "ensemble", "markov")
+KNOWN_BACKENDS = (
+    "clean-lcs",
+    "correlation-only",
+    "dice",
+    "ensemble",
+    "majority-vote",
+    "markov",
+    "markov-only",
+    "timeseries-ar",
+)
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,9 @@ class WindowedTrace:
         self.start = float(start)
         self.masks = list(masks)
         self.actuator_activations = list(actuator_activations)
+        #: Per window, the mean reading of each numeric sensor that
+        #: reported in it; only a backend that reads them fills this in.
+        self.means: Optional[List[Dict[str, float]]] = None
 
     def __len__(self) -> int:
         return len(self.masks)

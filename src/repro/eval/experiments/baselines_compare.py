@@ -1,9 +1,12 @@
 """E12 — quantitative version of Table 2.1: DICE versus baseline families.
 
 The paper compares approaches qualitatively (usability / generality /
-feasibility / promptness); here the bundled baselines are run through the
-exact same segment-pair protocol as DICE, so the table becomes measured
-precision/recall/identification numbers.  Expected shape: the ablated
+feasibility / promptness); here DICE and the five comparator backends
+(``repro.core.comparators``) run through the exact same segment-pair
+protocol, each via ``create_backend(...).process_batch``, so the table
+becomes measured precision/recall/identification numbers.  A segment
+counts as detected if any alert fired; the identified devices are the
+union over its identification alerts.  Expected shape: the ablated
 variants lose whole fault classes (correlation-only misses stuck-at,
 markov-only is slow and noisy), majority voting only works where redundant
 same-type sensors exist, and the AR baseline cannot see fail-stop faults.
@@ -12,16 +15,27 @@ same-type sensors exist, and the AR baseline cannot see fail-stop faults.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
-from ...baselines import BASELINES, BaselineDetector
-from ...core import DiceDetector
+from ... import telemetry
+from ...core import create_backend
 from ...datasets import load_dataset
 from ...faults import make_segment_pairs
 from ..metrics import DetectionCounts, IdentificationCounts
 from .common import ProtocolSettings
+
+
+#: E12's rows: DICE, then the Table 2.1 comparators.
+DETECTORS = (
+    "dice",
+    "clean-lcs",
+    "correlation-only",
+    "majority-vote",
+    "markov-only",
+    "timeseries-ar",
+)
 
 
 @dataclass(frozen=True)
@@ -51,35 +65,29 @@ def run(
     )
 
     rows: List[ComparisonRow] = []
-    names = list(detectors) if detectors else ["dice"] + sorted(BASELINES)
-    for name in names:
-        if name == "dice":
-            detector = DiceDetector(data.trace.registry, settings.config).fit(
-                training
-            )
-            process = detector.process
-        else:
-            baseline: BaselineDetector = BASELINES[name](settings.config)
-            baseline.fit(training)
-            process = baseline.process
+    for name in detectors or DETECTORS:
+        backend = create_backend(
+            name,
+            data.trace.registry,
+            settings.config,
+            metrics=telemetry.NULL_REGISTRY,
+        ).fit(training)
         detection = DetectionCounts()
         identification = IdentificationCounts()
         for pair in pairs:
-            clean = process(pair.faultless)
-            faulty = process(pair.faulty)
-            if clean.detected:
+            clean = backend.process_batch(pair.faultless)
+            faulty = backend.process_batch(pair.faulty)
+            if clean:
                 detection.false_positives += 1
             else:
                 detection.true_negatives += 1
-            if faulty.detected:
+            if faulty:
                 detection.true_positives += 1
             else:
                 detection.false_negatives += 1
             identification.actual += 1
-            identified = faulty.identified_devices()
-            identification.named += len(identified) + len(
-                clean.identified_devices()
-            )
+            identified = _identified(faulty)
+            identification.named += len(identified) + len(_identified(clean))
             if pair.fault.device_id in identified:
                 identification.correct += 1
         rows.append(
@@ -92,3 +100,8 @@ def run(
             )
         )
     return rows
+
+
+def _identified(alerts) -> Set[str]:
+    """The union of the devices a segment's identification alerts name."""
+    return set().union(*(a.devices for a in alerts if a.kind == "identification"))

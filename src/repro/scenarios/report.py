@@ -267,18 +267,21 @@ def render_table(doc: Dict) -> str:
 
 def render_baselines(doc: Dict) -> str:
     """Human-readable per-backend baselines table for the CLI."""
+    entries = doc.get("baselines", [])
+    # At least the historical 10 columns, wider for longer names.
+    width = max([10] + [len(entry["backend"]) for entry in entries])
     header = (
-        f"{'backend':<10} {'cells':>5} "
+        f"{'backend':<{width}} {'cells':>5} "
         f"{'det-prec':>8} {'det-rec':>7} "
         f"{'id-prec':>7} {'id-rec':>6} {'det-min':>8}"
     )
     lines = [header, "-" * len(header)]
-    for entry in doc.get("baselines", []):
+    for entry in entries:
         det = entry["detection"]
         ident = entry["identification"]
         mean = entry["mean_detection_minutes"]
         lines.append(
-            f"{entry['backend']:<10} {entry['cells']:>5} "
+            f"{entry['backend']:<{width}} {entry['cells']:>5} "
             f"{det['precision']:>8.2f} {det['recall']:>7.2f} "
             f"{ident['precision']:>7.2f} {ident['recall']:>6.2f} "
             f"{mean if mean is not None else '-':>8}"

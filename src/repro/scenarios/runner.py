@@ -396,6 +396,8 @@ def run_matrix(
     settings = settings or ScenarioSettings()
     if not backends:
         raise ValueError("backends must name at least one backend")
+    if len(set(backends)) != len(backends):
+        raise ValueError(f"backends must not repeat a name: {list(backends)}")
     cache = _TraceCache(seed, settings)
     results = []
     for backend in backends:

@@ -10,7 +10,7 @@ encoder would produce — every time the clock crosses a window boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from ..core.encoding import BitLayout, StateSetEncoder
 from ..model import DeviceKind, Event
@@ -25,6 +25,8 @@ class WindowSnapshot:
     end: float
     mask: int
     actuator_activations: FrozenSet[str]
+    #: The mean reading of each numeric sensor that reported in the window.
+    means: Mapping[str, float]
 
 
 class _NumericAccumulator:
@@ -171,6 +173,10 @@ class OnlineWindower:
             end=self.current_window_end,
             mask=mask,
             actuator_activations=frozenset(self._actuators),
+            means={
+                device_id: acc.s1 / acc.count
+                for device_id, acc in self._numeric.items()
+            },
         )
         self._index += 1
         self._binary_mask = 0

@@ -28,8 +28,16 @@ PERTURBATIONS = [
 
 #: Backends whose default configuration is expected to raise alerts on the
 #: perturbed corpus.  The default ensemble (dice AND markov agreeing in the
-#: same window, quorum 2) is deliberately conservative and may stay silent.
-ALERTING_BACKENDS = ("dice", "markov")
+#: same window, quorum 2) is deliberately conservative and may stay silent;
+#: clean-lcs finds no co-activating partners in this corpus.
+ALERTING_BACKENDS = (
+    "dice",
+    "markov",
+    "correlation-only",
+    "markov-only",
+    "majority-vote",
+    "timeseries-ar",
+)
 
 
 @pytest.fixture(params=available_backends(), scope="session")

@@ -10,7 +10,8 @@ Five properties, each an oracle the DICE pipeline already passes:
    tail: the alert sequence and the *end-of-stream checkpoint bytes*
    match an uninterrupted run;
 3. **quarantine masking** — a window checked with every sensor bit
-   quarantined can never be a violation;
+   quarantined can never be a violation, and a segment of them ends
+   without a verdict;
 4. **hardened supervision** — a fail-stop victim under an aggressive
    supervisor policy quarantines cleanly and the stream completes;
 5. **chaos crash-recovery** — the durability harness (journal + outbox +
@@ -26,7 +27,7 @@ import pytest
 
 from repro import telemetry
 from repro.core import create_backend
-from repro.core.backend import _BatchWindow
+from repro.core.backend import _SegmentWindows
 from repro.faults import (
     build_chaos_deployment,
     fleet_oracle,
@@ -52,6 +53,18 @@ from tests.backends.conftest import (
 
 PARITY_TRIALS = 10
 
+#: The quarantine-masking corpora as (seed offset, perturbation, deployment
+#: options): the original corpus first, then a sweep.  Odd seeds build
+#: busier homes (4 h, six binary sensors), so correlation checks fire too.
+QUARANTINE_CORPORA = [(26, "drop_device", {})] + [
+    (
+        offset,
+        PERTURBATIONS[offset % len(PERTURBATIONS)],
+        {"hours": 4.0, "k_binary": 6} if offset % 2 else {},
+    )
+    for offset in range(12)
+]
+
 
 class TestStreamingBatchParity:
     def test_streaming_matches_batch_on_perturbed_traces(self, backend_name):
@@ -76,6 +89,20 @@ class TestStreamingBatchParity:
         if backend_name in ALERTING_BACKENDS:
             # The corpus must exercise the pipeline, not compare silence.
             assert total > 0, f"{backend_name} never alerted on the corpus"
+
+    def test_clean_lcs_segment_verdict_streams(self, small_house):
+        # clean-lcs decides at segment or stream end, and the corpus above
+        # never co-activates sensors, so it gives clean-lcs no partners.
+        # This houseA segment, with fridge removed, gives it a verdict.
+        trace = small_house.trace
+        training = trace.slice(0.0, 72 * HOUR)
+        live = trace.slice(78 * HOUR, 102 * HOUR).without_device("fridge")
+        streamed = create_backend("clean-lcs", trace.registry).fit(training)
+        batched = create_backend("clean-lcs", trace.registry).fit(training)
+        s = OnlineDice(streamed, start=live.start).replay(live)
+        b = batched.process_batch(live)
+        assert canon(s) == canon(b)
+        assert any("fridge" in alert.devices for alert in b)
 
 
 class TestCheckpointCut:
@@ -140,32 +167,37 @@ class TestCheckpointCut:
 class TestQuarantineMasking:
     def test_full_quarantine_masks_every_violation(self, backend_name):
         # With every sensor bit quarantined a backend has no evidence left;
-        # whatever its internal state, no window may be called a violation.
-        # (No actuators: actuator activations are not quarantinable bits.)
-        # This seed's corpus makes all three registered backends violate
-        # with quarantine off, so the masking assertion is never vacuous.
-        rng = random.Random(SEED + 26)
-        registry, trace, split = build_deployment(rng, with_actuator=False)
-        live = perturbed_live(rng, trace, split, "drop_device")
-        masked = fit_backend(backend_name, registry, trace, split)
-        open_eyes = fit_backend(backend_name, registry, trace, split)
-        windows = masked.encode_window(live)
-        assert len(windows) > 0
-        qbits = (1 << masked.encoder.layout.num_bits) - 1
-        seconds = masked.encoder.window_seconds
-        masked_violations = open_violations = 0
-        for i, (mask, acts) in enumerate(windows):
-            snap = _BatchWindow(
-                i,
-                live.start + i * seconds,
-                live.start + (i + 1) * seconds,
-                mask,
-                acts,
+        # whatever its internal state, no window may be called a violation
+        # and the segment end may raise nothing.  (No actuators: actuator
+        # activations are not quarantinable bits.)  Over the sweep every
+        # backend but clean-lcs violates with quarantine off, so the
+        # masking assertion is never vacuous.
+        open_violations = 0
+        for offset, kind, options in QUARANTINE_CORPORA:
+            rng = random.Random(SEED + offset)
+            registry, trace, split = build_deployment(
+                rng, with_actuator=False, **options
             )
-            masked_violations += masked.observe_window(snap, qbits).violation
-            open_violations += open_eyes.observe_window(snap, 0).violation
-        assert masked_violations == 0
-        assert open_violations > 0
+            live = perturbed_live(rng, trace, split, kind)
+            masked = fit_backend(backend_name, registry, trace, split)
+            open_eyes = fit_backend(backend_name, registry, trace, split)
+            windowed = masked.encode_window(live)
+            assert len(windowed) > 0
+            windows = _SegmentWindows(windowed)
+            qbits = (1 << masked.encoder.layout.num_bits) - 1
+            masked_violations = 0
+            for i in range(len(windowed)):
+                masked_violations += masked.observe_window(
+                    windows[i], qbits
+                ).violation
+                open_violations += open_eyes.observe_window(
+                    windows[i], 0
+                ).violation
+            corpus = f"SEED + {offset}"
+            assert masked_violations == 0, corpus
+            assert masked.finish_segment(live.end) is None, corpus
+        if backend_name != "clean-lcs":  # its check never violates
+            assert open_violations > 0
 
     def test_fail_stop_victim_quarantines_and_stream_completes(
         self, backend_name

@@ -1,16 +1,10 @@
-"""Tests for the comparison detectors."""
+"""Tests for the Table 2.1 comparator backends."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    BASELINES,
-    CorrelationOnlyDetector,
-    LcsCleanDetector,
-    MajorityVoteDetector,
-    MarkovOnlyDetector,
-    TimeSeriesARDetector,
-)
+from repro.core import available_backends, create_backend
+from repro.core.backend import _SegmentWindows
 from repro.faults import inject_fail_stop, inject_spike, inject_stuck_at
 from tests.conftest import HOUR
 
@@ -25,55 +19,76 @@ def house(small_house):
     return trace, training, segment
 
 
+def fitted(name, trace, training):
+    return create_backend(name, trace.registry).fit(training)
+
+
+def identified(alerts):
+    """The union of the devices the identification alerts name."""
+    devices = set()
+    for alert in alerts:
+        if alert.kind == "identification":
+            devices |= alert.devices
+    return devices
+
+
 class TestRegistry:
     def test_all_baselines_registered(self):
-        assert set(BASELINES) == {
-            "correlation-only",
-            "markov-only",
-            "majority-vote",
-            "timeseries-ar",
+        assert available_backends() == (
             "clean-lcs",
-        }
+            "correlation-only",
+            "dice",
+            "ensemble",
+            "majority-vote",
+            "markov",
+            "markov-only",
+            "timeseries-ar",
+        )
 
 
 class TestCorrelationOnly:
     def test_clean_segment_quiet(self, house):
         trace, training, segment = house
-        detector = CorrelationOnlyDetector().fit(training)
-        assert not detector.process(segment).detected
+        detector = fitted("correlation-only", trace, training)
+        assert not detector.process_batch(segment)
 
     def test_fail_stop_of_cofiring_sensor_detected(self, house):
         trace, training, segment = house
-        detector = CorrelationOnlyDetector().fit(training)
+        detector = fitted("correlation-only", trace, training)
         faulty = inject_fail_stop(segment, "fridge", segment.start + HOUR)
-        assert detector.process(faulty).detected
+        assert detector.process_batch(faulty)
 
     def test_requires_fit(self, house):
         trace, training, segment = house
         with pytest.raises(RuntimeError):
-            CorrelationOnlyDetector().process(segment)
+            create_backend("correlation-only", trace.registry).process_batch(
+                segment
+            )
 
 
 class TestMarkovOnly:
     def test_clean_segment_mostly_quiet(self, house):
         trace, training, segment = house
-        detector = MarkovOnlyDetector().fit(training)
-        report = detector.process(segment)
-        assert len(report.detections) <= 2
+        detector = fitted("markov-only", trace, training)
+        windowed = detector.encode_window(segment)
+        windows = _SegmentWindows(windowed)
+        violating = sum(
+            detector.observe_window(windows[i]).violation
+            for i in range(len(windowed))
+        )
+        assert violating <= 2
 
     def test_weaker_than_dice_on_stuck_at(self, house):
         """The nearest-group fallback hides correlation damage, so the
         Markov-only ablation must not beat full DICE on a stuck-at fault —
         exactly the Table 2.1 story for transition-only monitors."""
-        from repro.core import DiceDetector
-
         trace, training, segment = house
         rng = np.random.default_rng(0)
         faulty = inject_stuck_at(segment, "fridge", segment.start + HOUR, rng)
-        dice = DiceDetector(trace.registry).fit(training)
-        markov = MarkovOnlyDetector().fit(training)
-        dice_detected = dice.process(faulty).detected
-        markov_detected = markov.process(faulty).detected
+        dice = fitted("dice", trace, training)
+        markov = fitted("markov-only", trace, training)
+        dice_detected = bool(dice.process_batch(faulty))
+        markov_detected = bool(markov.process_batch(faulty))
         assert dice_detected
         assert markov_detected <= dice_detected
 
@@ -81,7 +96,7 @@ class TestMarkovOnly:
 class TestMajorityVote:
     def test_needs_redundant_peers(self, house):
         trace, training, segment = house
-        detector = MajorityVoteDetector().fit(training)
+        detector = fitted("majority-vote", trace, training)
         # houseA has few same-type same-room sensors; the kitchen DOOR
         # sensors fall back to house-wide peers.
         assert all(
@@ -90,11 +105,10 @@ class TestMajorityVote:
 
     def test_stuck_active_sensor_flagged(self, house):
         trace, training, segment = house
-        detector = MajorityVoteDetector().fit(training)
+        detector = fitted("majority-vote", trace, training)
         rng = np.random.default_rng(0)
         faulty = inject_stuck_at(segment, "fridge", segment.start + HOUR, rng)
-        report = detector.process(faulty)
-        assert "fridge" in report.identified_devices()
+        assert "fridge" in identified(detector.process_batch(faulty))
 
 
 class TestTimeSeriesAR:
@@ -109,34 +123,32 @@ class TestTimeSeriesAR:
 
     def test_spike_detected(self, testbed):
         trace, training, segment = testbed
-        detector = TimeSeriesARDetector().fit(training)
+        detector = fitted("timeseries-ar", trace, training)
         rng = np.random.default_rng(0)
         faulty = inject_spike(segment, "t_kitchen", segment.start + 2 * HOUR, rng)
-        report = detector.process(faulty)
-        assert "t_kitchen" in report.identified_devices()
+        assert "t_kitchen" in identified(detector.process_batch(faulty))
 
     def test_fail_stop_invisible_by_design(self, testbed):
         trace, training, segment = testbed
-        detector = TimeSeriesARDetector().fit(training)
+        detector = fitted("timeseries-ar", trace, training)
         faulty = inject_fail_stop(segment, "t_kitchen", segment.start + HOUR)
-        report = detector.process(faulty)
-        assert "t_kitchen" not in report.identified_devices()
+        assert "t_kitchen" not in identified(detector.process_batch(faulty))
 
     def test_binary_only_home_has_no_models(self, house):
         trace, training, segment = house
-        detector = TimeSeriesARDetector().fit(training)
+        detector = fitted("timeseries-ar", trace, training)
         assert detector._models == {}
 
 
 class TestLcsClean:
     def test_partners_learned(self, house):
         trace, training, segment = house
-        detector = LcsCleanDetector().fit(training)
+        detector = fitted("clean-lcs", trace, training)
         assert detector._partners  # kitchen sensors co-activate
 
     def test_fail_stop_of_partnered_sensor(self, house):
         trace, training, _ = house
-        detector = LcsCleanDetector().fit(training)
+        detector = fitted("clean-lcs", trace, training)
         # Long faulty stretch so co-activation statistics are meaningful.
         segment = trace.slice(78 * HOUR, 102 * HOUR)
         victims = [d for d in detector._partners if d in ("fridge", "cups_cupboard")]
@@ -144,5 +156,4 @@ class TestLcsClean:
             pytest.skip("no partnered kitchen sensor in this seed")
         victim = victims[0]
         faulty = segment.without_device(victim)
-        report = detector.process(faulty)
-        assert victim in report.identified_devices()
+        assert victim in identified(detector.process_batch(faulty))

@@ -434,10 +434,24 @@ class TestScenarios:
     def test_bad_cell_filter_exits_2(self):
         assert main(["scenarios", "--cells", "no_such_cell"]) == 2
 
-    @pytest.mark.parametrize("trials", ["0", "-1"])
-    def test_bad_parameters_exit_2(self, trials, capsys):
-        assert main(["scenarios", "--trials", trials]) == 2
-        _one_error_line(capsys.readouterr().err, "bad_scenarios", "--trials")
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--trials", "0"], "--trials"),
+            (["--trials", "-1"], "--trials"),
+            (
+                [
+                    "--backend", "dice", "--backend", "dice",
+                    "--cells", "fault:stuck_at:houseA:single",
+                ],
+                "--backend",
+            ),
+        ],
+        ids=["0", "-1", "repeated-backend"],
+    )
+    def test_bad_parameters_exit_2(self, argv, flag, capsys):
+        assert main(["scenarios"] + argv) == 2
+        _one_error_line(capsys.readouterr().err, "bad_scenarios", flag)
 
 
 class TestMetrics:
