@@ -64,6 +64,7 @@ makes every record one machine-parsable JSON object.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -596,7 +597,10 @@ def _cmd_list() -> int:
 def _cmd_generate(args) -> int:
     from .datasets import load_dataset, write_trace
 
-    checks = [(args.hours is None or args.hours > 0, "--hours must be positive")]
+    checks = [
+        (args.hours is None or _positive(args.hours),
+         "--hours must be positive and finite"),
+    ]
     if not _flags_ok("bad_generate", checks):
         return 2
     data = load_dataset(args.dataset, seed=args.seed, hours=args.hours)
@@ -612,7 +616,7 @@ def _protocol_checks(args) -> list:
     """Range checks of the Ch. V protocol flags ``evaluate`` and
     ``experiment`` share, run before any trace is generated."""
     return [
-        (args.scale > 0, "--scale must be positive"),
+        (_positive(args.scale), "--scale must be positive and finite"),
         (args.pairs >= 1, "--pairs must be at least 1"),
     ]
 
@@ -701,6 +705,12 @@ def _flags_ok(event: str, checks) -> bool:
             _log.error(event, reason=reason)
             return False
     return True
+
+
+def _positive(size: float) -> bool:
+    """Whether a size flag is a positive finite number (``inf`` and
+    ``nan`` parse as floats but size no trace)."""
+    return math.isfinite(size) and size > 0
 
 
 def _runtime_checks(args) -> list:
@@ -796,7 +806,7 @@ def _cmd_stream(args) -> int:
     from .faults import PipeFaultInjector, PipeFaultSpec, PipeFaultType
 
     checks = _runtime_checks(args) + [
-        (args.hours > 0, "--hours must be positive"),
+        (_positive(args.hours), "--hours must be positive and finite"),
         (0 <= args.pipe_rate <= 1, "--pipe-rate must be within [0, 1]"),
     ]
     if not _flags_ok("bad_stream", checks):

@@ -306,10 +306,17 @@ class StateSetEncoder:
     def _actuator_activations(
         self, trace: Trace, n_windows: int
     ) -> List[FrozenSet[str]]:
-        activations: List[set] = [set() for _ in range(n_windows)]
+        """Per window, the actuators activated in it.
+
+        Each window gets one bit code over the actuators in registry order,
+        and each distinct code maps to one interned frozenset, so the many
+        windows without an activation share a single empty set.
+        """
+        actuators = [device.device_id for device in self.registry.actuators()]
+        codes = [0] * n_windows
         if n_windows:
-            for device in self.registry.actuators():
-                dev_idx = self.registry.index_of(device.device_id)
+            for bit, device_id in enumerate(actuators):
+                dev_idx = self.registry.index_of(device_id)
                 mask = (trace.device_indices == dev_idx) & (trace.values > 0)
                 if not mask.any():
                     continue
@@ -317,9 +324,18 @@ class StateSetEncoder:
                     (trace.timestamps[mask] - trace.start) / self.window_seconds
                 ).astype(np.int64)
                 np.clip(wins, 0, n_windows - 1, out=wins)
-                for w in np.unique(wins):
-                    activations[int(w)].add(device.device_id)
-        return [frozenset(s) for s in activations]
+                for w in np.unique(wins).tolist():
+                    codes[w] |= 1 << bit
+        # frozenset(set(...)) rather than frozenset(...): above four members
+        # the two lay out their tables differently, and the transition
+        # matrices insert actuators in the set's iteration order.
+        interned = {
+            code: frozenset(
+                set(a for bit, a in enumerate(actuators) if code >> bit & 1)
+            )
+            for code in set(codes)
+        }
+        return [interned[code] for code in codes]
 
 
 def _set_bit(words: np.ndarray, window_indices: np.ndarray, bit: int) -> None:
@@ -331,12 +347,13 @@ def _set_bit(words: np.ndarray, window_indices: np.ndarray, bit: int) -> None:
 
 
 def _words_to_masks(words: np.ndarray) -> List[int]:
-    """Convert packed rows back into Python int bitmasks."""
-    n_windows, n_words = words.shape
-    masks = [0] * n_windows
-    for w in range(n_words):
+    """Convert packed rows back into Python int bitmasks, one word column
+    at a time."""
+    masks = words[:, 0].tolist()
+    for w in range(1, words.shape[1]):
         shift = 64 * w
-        col = words[:, w]
-        for i in np.nonzero(col)[0]:
-            masks[int(i)] |= int(col[i]) << shift
+        masks = [
+            mask | word << shift if word else mask
+            for mask, word in zip(masks, words[:, w].tolist())
+        ]
     return masks

@@ -48,7 +48,12 @@ class GroupRegistry:
         """Intern every window of *windowed*; returns the registry and the
         per-window group-id sequence (the input to transition extraction)."""
         registry = cls(windowed.layout)
-        sequence = [registry.add(mask) for mask in windowed.masks]
+        ids = registry._by_mask
+        sequence = [ids.setdefault(mask, len(ids)) for mask in windowed.masks]
+        registry._bitsets.extend(ids)
+        registry._counts = np.bincount(
+            np.asarray(sequence, dtype=np.int64), minlength=len(ids)
+        ).tolist()
         return registry, sequence
 
     def add(self, mask: int) -> int:

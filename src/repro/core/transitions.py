@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Generic, Hashable, List, Sequence, TypeVar
 
+import numpy as np
+
 Row = TypeVar("Row", bound=Hashable)
 Col = TypeVar("Col", bound=Hashable)
 
@@ -103,21 +105,39 @@ class TransitionModel:
     ) -> "TransitionModel":
         """Learn the matrices from one training pass.
 
-        ``group_sequence[i]`` is the group id of window *i*;
-        ``actuator_activations[i]`` names the actuators activated in
+        ``group_sequence[i]`` is the (non-negative) group id of window
+        *i*; ``actuator_activations[i]`` names the actuators activated in
         window *i*.
         """
         if len(group_sequence) != len(actuator_activations):
             raise ValueError("group sequence and activations must align")
         model = cls()
-        for i in range(1, len(group_sequence)):
-            prev_g = group_sequence[i - 1]
-            cur_g = group_sequence[i]
-            model.g2g.observe(prev_g, cur_g)
-            for act in actuator_activations[i]:
-                model.g2a.observe(prev_g, act)
-            for act in actuator_activations[i - 1]:
-                model.a2g.observe(act, cur_g)
+        ids = np.asarray(group_sequence, dtype=np.int64)
+        if len(ids) > 1:
+            # Count each (previous, current) pair once, then insert pairs in
+            # order of first appearance: rows and columns land in the same
+            # dict order as one observe() per window, so successors() and
+            # everything that iterates it are unchanged.
+            span = int(ids.max()) + 1
+            pairs, first, counts = np.unique(
+                ids[:-1] * span + ids[1:], return_index=True, return_counts=True
+            )
+            order = np.argsort(first)
+            rows, cols = np.divmod(pairs[order], span)
+            for row, col, count in zip(
+                rows.tolist(), cols.tolist(), counts[order].tolist()
+            ):
+                model.g2g.observe(row, col, count)
+        sequence = ids.tolist()
+        last = len(sequence) - 1
+        for i, acts in enumerate(actuator_activations):
+            if not acts:
+                continue
+            for act in acts:
+                if i > 0:
+                    model.g2a.observe(sequence[i - 1], act)
+                if i < last:
+                    model.a2g.observe(act, sequence[i + 1])
         return model
 
     def copy(self) -> "TransitionModel":

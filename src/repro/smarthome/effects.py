@@ -114,27 +114,32 @@ class NumericSignalBuilder:
         The first breakpoint is ``(0, base)``; levels are the base plus the
         sum of all active effect deltas.
         """
+        times, levels = self._breakpoints(horizon)
+        return list(zip(times.tolist(), levels.tolist()))
+
+    def _breakpoints(self, horizon: float) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`levels` as two arrays."""
         base = self.profile.base
-        changes: List[Tuple[float, float]] = []
-        for start, end, delta in self._effects:
-            if start >= horizon:
-                continue
-            changes.append((max(0.0, start), delta))
-            changes.append((min(end, horizon), -delta))
-        changes.sort(key=lambda c: c[0])
-        breakpoints: List[Tuple[float, float]] = [(0.0, base)]
-        level = base
-        i = 0
-        while i < len(changes):
-            t = changes[i][0]
-            while i < len(changes) and changes[i][0] == t:
-                level += changes[i][1]
-                i += 1
-            if t == 0.0:
-                breakpoints[0] = (0.0, level)
-            elif level != breakpoints[-1][1]:
-                breakpoints.append((t, level))
-        return breakpoints
+        effects = np.array(self._effects, dtype=np.float64).reshape(-1, 3)
+        effects = effects[effects[:, 0] < horizon]
+        # Each effect steps the level by +delta at its start and -delta at
+        # its end; changes at equal times apply together, in add order.
+        times = np.clip(effects[:, :2], 0.0, horizon).ravel()
+        deltas = np.outer(effects[:, 2], [1.0, -1.0]).ravel()
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        level = np.cumsum(np.concatenate(([base], deltas[order])))[1:]
+        last = np.ones(len(times), dtype=bool)
+        last[:-1] = times[1:] != times[:-1]
+        times, level = times[last], level[last]
+        start = base
+        if len(times) and times[0] == 0.0:
+            start, times, level = level[0], times[1:], level[1:]
+        keep = level != np.concatenate(([start], level[:-1]))
+        return (
+            np.concatenate(([0.0], times[keep])),
+            np.concatenate(([start], level[keep])),
+        )
 
     def render(
         self, horizon: float, rng: np.random.Generator
@@ -145,26 +150,55 @@ class NumericSignalBuilder:
         samples whenever the target level changes, ``hold_reports``
         confirmations after settling, periodic held reports while away from
         base (if the profile asks for them), silence otherwise.
+
+        All transitions render in one numpy pass.  Samples are emitted
+        transition by transition (ramp, confirmations, held reports), and
+        that order fixes which noise draw each sample gets and how the
+        final stable sort breaks ties.
         """
         profile = self.profile
-        breakpoints = self.levels(horizon)
-        times: List[np.ndarray] = []
-        values: List[np.ndarray] = []
-        for idx in range(1, len(breakpoints)):
-            t_change, new_level = breakpoints[idx]
-            old_level = breakpoints[idx - 1][1]
-            t_next = (
-                breakpoints[idx + 1][0] if idx + 1 < len(breakpoints) else horizon
-            )
-            seg_t, seg_v = self._render_transition(
-                t_change, old_level, new_level, t_next, horizon
-            )
-            times.append(seg_t)
-            values.append(seg_v)
-        if not times:
+        times, levels = self._breakpoints(horizon)
+        if len(times) < 2:
             return np.empty(0), np.empty(0)
-        t = np.concatenate(times)
-        v = np.concatenate(values)
+        t_change, old, new = times[1:], levels[:-1], levels[1:]
+        t_next = np.append(times[2:], horizon)
+        step = profile.sample_interval
+        settle = np.minimum(t_change + profile.ramp_seconds, t_next)
+
+        ramp_of, ramp_t = _arange_many(t_change, settle, step)
+        if profile.ramp_seconds > 0:
+            frac = np.clip(
+                (ramp_t - t_change[ramp_of]) / profile.ramp_seconds, 0.0, 1.0
+            )
+        else:
+            frac = np.ones_like(ramp_t)
+        # Quadratic approach: physical quantities accelerate towards the new
+        # level, which also gives ramp windows a deterministic skewness sign
+        # (Eq. 3.2) instead of a noise-driven coin flip.
+        ramp_v = old[ramp_of] + (new[ramp_of] - old[ramp_of]) * frac**2
+
+        confirm = settle[:, None] + step * np.arange(1, profile.hold_reports + 1)
+        kept = confirm < t_next[:, None]
+        hold_of = np.nonzero(kept)[0]
+        hold_t = confirm[kept]
+
+        held_of, held_t = np.empty(0, dtype=np.int64), np.empty(0)
+        if profile.held_interval > 0:
+            # Held reports follow the last confirmation (or the settle
+            # point), while the level is away from base.
+            away = np.nonzero(new != profile.base)[0]
+            held_from = settle[away] + step * kept[away].sum(axis=1)
+            held_of, held_t = _arange_many(
+                held_from + profile.held_interval,
+                t_next[away],
+                profile.held_interval,
+            )
+            held_of = away[held_of]
+
+        owner = np.concatenate((ramp_of, hold_of, held_of))
+        emitted = np.argsort(owner, kind="stable")
+        t = np.concatenate((ramp_t, hold_t, held_t))[emitted]
+        v = np.concatenate((ramp_v, new[hold_of], new[held_of]))[emitted]
         keep = t < horizon
         t, v = t[keep], v[keep]
         if profile.noise_sigma > 0 and len(v):
@@ -173,40 +207,21 @@ class NumericSignalBuilder:
         order = np.argsort(t, kind="stable")
         return t[order], v[order]
 
-    def _render_transition(
-        self,
-        t_change: float,
-        old_level: float,
-        new_level: float,
-        t_next: float,
-        horizon: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        profile = self.profile
-        ramp_end = t_change + profile.ramp_seconds
-        ramp_t = np.arange(t_change, min(ramp_end, t_next), profile.sample_interval)
-        if profile.ramp_seconds > 0:
-            frac = np.clip((ramp_t - t_change) / profile.ramp_seconds, 0.0, 1.0)
-        else:
-            frac = np.ones_like(ramp_t)
-        # Quadratic approach: physical quantities accelerate towards the new
-        # level, which also gives ramp windows a deterministic skewness sign
-        # (Eq. 3.2) instead of a noise-driven coin flip.
-        ramp_v = old_level + (new_level - old_level) * frac**2
 
-        hold_start = min(ramp_end, t_next)
-        hold_t = hold_start + profile.sample_interval * np.arange(
-            1, profile.hold_reports + 1
-        )
-        hold_t = hold_t[hold_t < t_next]
-        hold_v = np.full(len(hold_t), new_level)
+def _arange_many(
+    start: np.ndarray, stop: np.ndarray, step: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.arange(start[k], stop[k], step)`` for every *k*, concatenated,
+    with the *k* each sample came from.
 
-        segments_t = [ramp_t, hold_t]
-        segments_v = [ramp_v, hold_v]
-        if profile.held_interval > 0 and new_level != profile.base:
-            held_from = hold_t[-1] if len(hold_t) else hold_start
-            held_t = np.arange(
-                held_from + profile.held_interval, t_next, profile.held_interval
-            )
-            segments_t.append(held_t)
-            segments_v.append(np.full(len(held_t), new_level))
-        return np.concatenate(segments_t), np.concatenate(segments_v)
+    The arithmetic is arange's own: ``ceil((stop - start) / step)``
+    samples (one if a positive span underflows the division) valued
+    ``start + i * ((start + step) - start)``."""
+    span = stop - start
+    counts = np.ceil(span / step)
+    counts[(counts == 0) & (span > 0)] = 1
+    counts = np.maximum(counts, 0).astype(np.int64)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    i = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    first = start[owner]
+    return owner, first + i * ((first + step) - first)

@@ -19,6 +19,7 @@ number of hours of its life as a :class:`~repro.model.trace.Trace`:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -122,8 +123,8 @@ class HomeSimulator:
 
     def simulate(self, horizon_seconds: float, seed: int) -> Trace:
         """One seeded run of the home over ``[0, horizon_seconds)``."""
-        if horizon_seconds <= 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(horizon_seconds) and horizon_seconds > 0):
+            raise ValueError("horizon must be positive and finite")
         spec = self.spec
         rng = np.random.default_rng(seed)
         horizon = float(horizon_seconds)

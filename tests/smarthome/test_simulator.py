@@ -120,3 +120,10 @@ class TestSimulator:
     def test_invalid_horizon_rejected(self):
         with pytest.raises(ValueError):
             HomeSimulator(build_spec("houseA")).simulate(0.0, seed=1)
+
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # A ValueError, which callers report as a bad size, never the
+        # OverflowError the schedule builder would raise on its own.
+        with pytest.raises(ValueError, match="finite"):
+            HomeSimulator(build_spec("houseA")).simulate(horizon, seed=1)

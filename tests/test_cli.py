@@ -45,7 +45,7 @@ class TestGenerate:
         trace = read_trace(str(out_path))
         assert len(trace.registry) == 14
 
-    @pytest.mark.parametrize("hours", ["0", "-2"])
+    @pytest.mark.parametrize("hours", ["0", "-2", "inf", "nan"])
     def test_bad_parameters_exit_2(self, hours, tmp_path, capsys):
         out_path = tmp_path / "trace.csv"
         argv = ["generate", "houseA", "--hours", hours, "-o", str(out_path)]
@@ -72,6 +72,8 @@ class TestEvaluate:
             (["evaluate", "houseA", "--scale", "-1"], "--scale"),
             (["evaluate", "houseA", "--pairs", "0"], "--pairs"),
             (["evaluate", "houseA", "--pairs", "-3"], "--pairs"),
+            (["evaluate", "houseA", "--scale", "inf"], "--scale"),
+            (["evaluate", "houseA", "--scale", "nan"], "--scale"),
         ],
     )
     def test_bad_parameters_exit_2(self, argv, flag, capsys):
@@ -150,6 +152,8 @@ class TestStream:
              "--pipe-rate"),
             (["stream", "houseA", "--hours", "0", "--train-hours", "0"], "--hours"),
             (["stream", "nosuch"], "nosuch"),
+            (["stream", "houseA", "--hours", "inf"], "--hours"),
+            (["stream", "houseA", "--hours", "nan"], "--hours"),
         ],
     )
     def test_bad_parameters_exit_2(self, argv, flag, capsys):
@@ -277,6 +281,10 @@ class TestFleet:
             ["fleet", "--homes", "2", "--lateness", "-1"],
             ["fleet", "--homes", "2", "--silence", "-1"],
             ["fleet", "--homes", "2", "--quarantine", "10", "--silence", "100"],
+            ["fleet", "--homes", "2", "--hours", "inf"],
+            ["fleet", "--homes", "2", "--hours", "nan"],
+            ["fleet", "--homes", "2", "--train-hours", "inf"],
+            ["fleet", "--homes", "2", "--train-hours", "nan"],
         ],
     )
     def test_bad_parameters_exit_2(self, argv, capsys):
@@ -515,6 +523,8 @@ class TestExperiment:
             (["experiment", "accuracy", "--scale", "0"], "--scale"),
             (["experiment", "accuracy", "--scale", "-1"], "--scale"),
             (["experiment", "accuracy", "--pairs", "0"], "--pairs"),
+            (["experiment", "accuracy", "--scale", "inf"], "--scale"),
+            (["experiment", "accuracy", "--scale", "nan"], "--scale"),
         ],
     )
     def test_bad_parameters_exit_2(self, argv, flag, capsys):

@@ -21,18 +21,24 @@ platforms and numpy versions):
   obvious ``(a ^ b).bit_count()`` oracle for every bit width straddling
   the 64-bit word boundaries.
 
-The detector core has no independent twin for absolute time, so one
-metamorphic relation covers it: shifting a deployment's training trace
-and live segment by a whole number of windows shifts every batch and
-streamed alert by the same amount and changes nothing else.
+The detector core has no independent twin for absolute time or for
+device order, so two metamorphic relations cover them: shifting a
+deployment's training trace and live segment by a whole number of windows
+shifts every batch and streamed alert by the same amount and changes
+nothing else; and permuting the device registry (which relabels the
+state-set bits) leaves the fitted groups, the G2G matrix and every alert
+on the Ch. V segments unchanged.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import DEFAULT_CONFIG, DeviceWeights, DiceConfig, DiceDetector
 from repro.core.bitset import _GEMM_MIN_ROWS, PackedBitsets
+from repro.datasets import load_dataset
+from repro.faults.segments import make_segment_pairs
 from repro.model import (
     DeviceRegistry,
     Event,
@@ -338,3 +344,60 @@ def test_time_shift_shifts_alerts_by_the_same_amount():
             totals[path] += len(views)
     # The relation must be checked on alerts, not on silence.
     assert min(totals.values()) > 50, totals
+
+
+# ---------------------------------------------------------------------------
+# Part D: device registration order is a relabelling, not a behaviour
+# ---------------------------------------------------------------------------
+
+
+def _relabel(trace, registry, new_index):
+    """*trace* over *registry*, a permutation of its own registry."""
+    return Trace(
+        registry, trace.timestamps, new_index[trace.device_indices],
+        trace.values, start=trace.start, end=trace.end,
+    )
+
+
+def _order_views(alerts):
+    return [
+        (a.kind, a.time, a.check, a.cases, a.devices, a.converged, a.windows_used)
+        for a in alerts
+    ]
+
+
+@pytest.mark.parametrize("name", ["houseA", "D_houseA", "hh102"])
+def test_registration_order_leaves_alerts_unchanged(name):
+    # Registry order lays out the state-set bits and orders the actuator
+    # codes of the fit, but Hamming distances, first-appearance group ids
+    # and device sets do not depend on it: a permuted registry must fit the
+    # same groups and transitions and raise the same alerts on the same
+    # Ch. V segments, faultless and faulty.
+    trace = load_dataset(name, seed=1, hours=400.0).trace
+    training, pairs = make_segment_pairs(trace, np.random.default_rng(1), count=8)
+    segments = [s for pair in pairs for s in (pair.faultless, pair.faulty)]
+    reference = DiceDetector(trace.registry).fit(training)
+    expected = [_order_views(reference.process(s).alerts) for s in segments]
+    devices = list(trace.registry)
+    rng = random.Random(SEED + 4)
+    for trial in range(3):
+        order = list(range(len(devices)))
+        rng.shuffle(order)
+        registry = DeviceRegistry([devices[i] for i in order])
+        new_index = np.empty(len(order), dtype=np.int32)
+        new_index[order] = np.arange(len(order))
+        detector = DiceDetector(registry).fit(
+            _relabel(training, registry, new_index)
+        )
+        groups, ref_groups = detector.model.groups, reference.model.groups
+        assert groups.masks != ref_groups.masks, "the bit layout must move"
+        assert groups._counts == ref_groups._counts
+        assert detector.model.transitions.g2g._counts == (
+            reference.model.transitions.g2g._counts
+        )
+        for index, (segment, views) in enumerate(zip(segments, expected)):
+            got = detector.process(_relabel(segment, registry, new_index))
+            assert _order_views(got.alerts) == views, (
+                f"{name} permutation {trial}, segment {index}"
+            )
+    assert sum(len(views) for views in expected) > 100
