@@ -156,8 +156,39 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default 200 quick / 1000 full)",
     )
 
+    # Flags shared by stream, fleet and serve, declared once.
+    runtime_flags = argparse.ArgumentParser(add_help=False)
+    runtime_flags.add_argument(
+        "--lateness", type=float, default=120.0,
+        help="per-home reorder-buffer lateness budget in seconds",
+    )
+    runtime_flags.add_argument(
+        "--silence", type=float, default=900.0,
+        help="supervisor: silence before a device degrades (seconds)",
+    )
+    runtime_flags.add_argument(
+        "--quarantine", type=float, default=1800.0,
+        help="supervisor: silence before a device is quarantined (seconds)",
+    )
+    durability_flags = argparse.ArgumentParser(add_help=False)
+    durability_flags.add_argument(
+        "--resume", default=None, metavar="DIR",
+        help="restore from a checkpoint directory instead of starting fresh "
+        "(with --journal-dir, also replay each home's journal tail past it)",
+    )
+    durability_flags.add_argument(
+        "--fsync", choices=["never", "interval", "always"], default="never",
+        help="journal fsync policy (with --journal-dir)",
+    )
+    durability_flags.add_argument(
+        "--alerts-out", default=None, metavar="PATH",
+        help="deliver alerts at-least-once to PATH as JSON lines via the "
+        "outbox (requires --journal-dir)",
+    )
+
     stream = sub.add_parser(
-        "stream", help="run the hardened gateway runtime over one dataset"
+        "stream", parents=[runtime_flags, durability_flags],
+        help="run the hardened gateway runtime over one dataset",
     )
     stream.add_argument("dataset")
     stream.add_argument("--hours", type=float, default=96.0, help="total recording")
@@ -165,18 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--train-hours", type=float, default=72.0, help="precomputation prefix"
     )
     stream.add_argument("--seed", type=int, default=0)
-    stream.add_argument(
-        "--lateness", type=float, default=120.0,
-        help="reorder-buffer lateness budget in seconds",
-    )
-    stream.add_argument(
-        "--silence", type=float, default=900.0,
-        help="supervisor: silence before a device degrades (seconds)",
-    )
-    stream.add_argument(
-        "--quarantine", type=float, default=1800.0,
-        help="supervisor: silence before a device is quarantined (seconds)",
-    )
     stream.add_argument(
         "--pipe-faults", default=None,
         help="comma-separated channel perturbations to inject "
@@ -187,27 +206,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--save-checkpoint", default=None, metavar="DIR",
-        help="write the end-of-stream checkpoint (manifest + home snapshot) "
-        "to DIR",
-    )
-    stream.add_argument(
-        "--resume", default=None, metavar="DIR",
-        help="restore from a checkpoint directory instead of starting fresh "
-        "(with --journal-dir, also replay the journal tail past it)",
+        help="write the end-of-stream checkpoint (one manifest.json) to DIR",
     )
     stream.add_argument(
         "--journal-dir", default=None, metavar="DIR",
         help="write-ahead journal root: every event is journaled before "
         "processing, so a crashed run resumes exactly via --resume",
-    )
-    stream.add_argument(
-        "--fsync", choices=["never", "interval", "always"], default="never",
-        help="journal fsync policy (with --journal-dir)",
-    )
-    stream.add_argument(
-        "--alerts-out", default=None, metavar="PATH",
-        help="deliver alerts at-least-once to PATH as JSON lines via the "
-        "outbox (requires --journal-dir)",
     )
     stream.add_argument(
         "--metrics-out", default=None, metavar="PATH",
@@ -230,7 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     fleet = sub.add_parser(
-        "fleet", help="run the sharded multi-home gateway over a generated fleet"
+        "fleet", parents=[runtime_flags, durability_flags],
+        help="run the sharded multi-home gateway over a generated fleet",
     )
     fleet.add_argument(
         "--homes", type=int, default=8, help="number of generated homes"
@@ -262,39 +267,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="dispatch tick width in seconds",
     )
     fleet.add_argument(
-        "--lateness", type=float, default=120.0,
-        help="per-home reorder-buffer lateness budget in seconds",
-    )
-    fleet.add_argument(
-        "--silence", type=float, default=900.0,
-        help="supervisor: silence before a device degrades (seconds)",
-    )
-    fleet.add_argument(
-        "--quarantine", type=float, default=1800.0,
-        help="supervisor: silence before a device is quarantined (seconds)",
-    )
-    fleet.add_argument(
         "--save-checkpoint", default=None, metavar="DIR",
-        help="write the fleet checkpoint (manifest + per-home snapshots) to DIR",
-    )
-    fleet.add_argument(
-        "--resume", default=None, metavar="DIR",
-        help="restore the fleet from a checkpoint directory instead of fresh "
-        "(with --journal-dir, also replay each home's journal tail)",
+        help="write the fleet checkpoint (one manifest.json) to DIR",
     )
     fleet.add_argument(
         "--journal-dir", default=None, metavar="DIR",
         help="per-home write-ahead journal root: routed events are journaled "
         "before dispatch, so a crashed fleet resumes exactly via --resume",
-    )
-    fleet.add_argument(
-        "--fsync", choices=["never", "interval", "always"], default="never",
-        help="journal fsync policy (with --journal-dir)",
-    )
-    fleet.add_argument(
-        "--alerts-out", default=None, metavar="PATH",
-        help="deliver alerts at-least-once to PATH as JSON lines via the "
-        "outbox (requires --journal-dir)",
     )
     fleet.add_argument(
         "--metrics-out", default=None, metavar="PATH",
@@ -303,6 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
+        parents=[runtime_flags, durability_flags],
         help="run the durable fleet as a long-lived network service "
         "(binary ingest port + /metrics /health /ready; SIGTERM drains)",
     )
@@ -347,36 +327,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write a fleet checkpoint to DIR during graceful drain",
     )
     serve.add_argument(
-        "--resume", default=None, metavar="DIR",
-        help="restore from a checkpoint directory (plus journal tails) "
-        "instead of starting fresh",
-    )
-    serve.add_argument(
-        "--fsync", choices=["never", "interval", "always"], default="never"
-    )
-    serve.add_argument(
-        "--alerts-out", default=None, metavar="PATH",
-        help="deliver alerts at-least-once to PATH as JSON lines via the outbox",
-    )
-    serve.add_argument(
         "--queue-capacity", type=int, default=4096,
         help="global admitted-event bound; beyond it the server sheds",
     )
     serve.add_argument(
         "--read-timeout", type=float, default=10.0,
         help="per-connection idle read bound in seconds",
-    )
-    serve.add_argument(
-        "--lateness", type=float, default=120.0,
-        help="per-home reorder-buffer lateness budget in seconds",
-    )
-    serve.add_argument(
-        "--silence", type=float, default=900.0,
-        help="supervisor: silence before a device degrades (seconds)",
-    )
-    serve.add_argument(
-        "--quarantine", type=float, default=1800.0,
-        help="supervisor: silence before a device is quarantined (seconds)",
     )
 
     send = sub.add_parser(
@@ -1229,13 +1185,20 @@ def _print_chaos_report(mode: str, report) -> int:
     """Print one chaos batch's verdict line plus a line per failed trial;
     returns the number of failed trials."""
     summary = report.summary()
+    verdict = "OK" if report.ok else "FAIL"
+    failures = [
+        f"{name[: -len('_failures')]} {count}"
+        for name, count in summary.items()
+        if name.endswith("_failures") and count
+    ]
+    if failures:
+        verdict += f" ({', '.join(failures)})"
     print(
         f"{mode}: {summary['trials']} trials "
         f"({summary['torn_trials']} torn, "
         f"{summary['checkpointed_trials']} checkpointed), "
         f"{summary['delivered']} alerts delivered, "
-        f"{summary['dead_letters']} dead-lettered -> "
-        f"{'OK' if report.ok else 'FAIL'}"
+        f"{summary['dead_letters']} dead-lettered -> {verdict}"
     )
     failed = [trial for trial in report.trials if not trial.ok]
     for trial in failed:
@@ -1245,7 +1208,8 @@ def _print_chaos_report(mode: str, report) -> int:
             f"shards={trial.shards_before}->{trial.shards_after} "
             f"torn={trial.torn} checkpointed={trial.checkpointed} "
             f"parity={trial.parity} counters={trial.counters_monotone} "
-            f"delivery={trial.delivery_ok}"
+            f"delivery={trial.delivery_ok} "
+            f"provenance={trial.provenance_parity} drops={trial.drops_parity}"
         )
     return len(failed)
 

@@ -52,12 +52,7 @@ from .runtime import (
     event_to_record,
     record_to_event,
 )
-from .fleet import (
-    DURABILITY_SCHEMA,
-    DURABILITY_SIDECAR,
-    DurableFleetGateway,
-    load_durability_sidecar,
-)
+from .fleet import DurableFleetGateway
 
 __all__ = [
     "FSYNC_POLICIES",
@@ -95,8 +90,5 @@ __all__ = [
     "encode_event_frame",
     "event_to_record",
     "record_to_event",
-    "DURABILITY_SCHEMA",
-    "DURABILITY_SIDECAR",
     "DurableFleetGateway",
-    "load_durability_sidecar",
 ]

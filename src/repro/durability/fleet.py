@@ -16,9 +16,10 @@ one, so this is the only durable path:
   may end in a torn record, and replay stops there);
 * fleet alerts get per-home sequence numbers and flow into one shared
   :class:`~repro.durability.outbox.AlertOutbox`, with home-qualified ids;
-* :meth:`save_checkpoint` writes the fleet checkpoint directory plus a
-  ``durability.json`` sidecar (per-home journal epochs and alert
-  sequences), then rotates and truncates every home journal;
+* :meth:`save_checkpoint` writes the fleet checkpoint — one
+  ``manifest.json`` that also carries a ``durability`` block (per-home
+  journal epochs, alert and ingest sequences) — then rotates and
+  truncates every home journal;
 * :meth:`recover` = restore fleet checkpoint + replay every home's
   journal tail, home by home — per-home alert streams are reproduced
   exactly for any shard count (chaos-harness pinned).
@@ -26,7 +27,6 @@ one, so this is the only durable path:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -34,8 +34,15 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from .. import telemetry
 from ..core import DiceDetector
 from ..model import Event
-from ..streaming.checkpoint import CheckpointError, write_json_atomic
-from ..fleet import FleetAlert, FleetGateway, restore_fleet
+from ..streaming import CheckpointError
+from ..fleet import (
+    MANIFEST_NAME,
+    FleetAlert,
+    FleetGateway,
+    load_fleet_manifest,
+    restore_fleet,
+    save_fleet_checkpoint,
+)
 from .journal import EventJournal, replay_records
 from .outbox import AlertOutbox, alert_record
 from .provenance import ProvenanceLog
@@ -48,36 +55,7 @@ from .runtime import (
 
 PathLike = Union[str, os.PathLike]
 
-DURABILITY_SIDECAR = "durability.json"
-#: The only sidecar schema recovery accepts.
-DURABILITY_SCHEMA = "dice-fleet-durability/2"
-
 _log = telemetry.get_logger("repro.durability.fleet")
-
-
-def load_durability_sidecar(directory: PathLike) -> dict:
-    """Read a checkpoint's durability sidecar (``{}`` when it has none).
-
-    An unreadable or corrupt sidecar, or one of another schema, raises
-    :class:`CheckpointError` naming the path.
-    """
-    path = os.path.join(os.fspath(directory), DURABILITY_SIDECAR)
-    if not os.path.exists(path):
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            sidecar = json.load(handle)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read durability sidecar {path}: {exc}") from exc
-    except ValueError as exc:
-        raise CheckpointError(f"corrupt durability sidecar {path}: {exc}") from exc
-    schema = sidecar.get("schema") if isinstance(sidecar, dict) else None
-    if schema != DURABILITY_SCHEMA:
-        raise CheckpointError(
-            f"{path} is not a durability sidecar (schema {schema!r}, "
-            f"expected {DURABILITY_SCHEMA!r})"
-        )
-    return sidecar
 
 
 class DurableFleetGateway:
@@ -235,41 +213,33 @@ class DurableFleetGateway:
     # ------------------------------------------------------------------ #
 
     def save_checkpoint(self, directory: PathLike) -> None:
-        """Fleet checkpoint + durability sidecar, then rotate/truncate.
+        """Fleet checkpoint with its durability block, then rotate/truncate.
 
         Order is the crash-safety argument: journals are synced first
-        (every event the checkpoint accounts for is on disk), the
-        checkpoint (manifest last) and then the sidecar are written
-        atomically, and only then are superseded segments dropped — a
-        crash at any point leaves either the old checkpoint with its full
-        journals, or the new one with at worst some not-yet-truncated
-        (ignored) segments.
+        (every event the checkpoint accounts for is on disk), then the one
+        manifest is written and made durable by a single rename, and only
+        then are superseded segments dropped — a crash at any point leaves
+        either the old checkpoint with its full journals, or the new one
+        with at worst some not-yet-truncated (ignored) segments.
         """
-        directory = os.fspath(directory)
         for journal in self.journals.values():
             journal.sync()
-        self.gateway.save_checkpoint(directory)
         epochs = {
             home_id: journal.epoch for home_id, journal in self.journals.items()
         }
-        write_json_atomic(
-            {
-                "schema": DURABILITY_SCHEMA,
+        save_fleet_checkpoint(
+            self.gateway,
+            directory,
+            durability={
                 "journal_epochs": epochs,
                 "alert_seqs": dict(self.alert_seqs),
                 "ingest_seqs": dict(self.ingest_seqs),
             },
-            os.path.join(directory, DURABILITY_SIDECAR),
         )
         for home_id, journal in self.journals.items():
             superseded = epochs[home_id]
             journal.rotate(superseded + 1)
             journal.truncate_through(superseded)
-        _log.info(
-            "durable_fleet_checkpoint_saved",
-            directory=directory,
-            homes=len(self.journals),
-        )
 
     @classmethod
     def recover(
@@ -296,27 +266,28 @@ class DurableFleetGateway:
         Returns ``(durable_fleet, replayed_alerts)``.
         """
         t0 = time.perf_counter()
-        sidecar: dict = {}
-        manifest_path = (
-            None
-            if checkpoint_dir is None
-            else os.path.join(os.fspath(checkpoint_dir), "manifest.json")
-        )
-        if manifest_path is not None and os.path.exists(manifest_path):
+        durability: dict = {}
+        if checkpoint_dir is not None and os.path.exists(
+            os.path.join(os.fspath(checkpoint_dir), MANIFEST_NAME)
+        ):
+            manifest = load_fleet_manifest(checkpoint_dir)
+            durability = manifest.get("durability", {})
             gateway = restore_fleet(
                 detectors,
-                checkpoint_dir,
+                manifest,
                 num_shards=num_shards,
                 metrics=metrics,
                 **runtime_kwargs,
             )
-            sidecar = load_durability_sidecar(checkpoint_dir)
+            # The parsed snapshots are dead once restored: free them before
+            # the journal-tail replay reaches its memory peak.
+            del manifest
         elif gateway is None:
             raise CheckpointError(
                 "no fleet checkpoint to restore and no fresh gateway supplied"
             )
-        epochs = sidecar.get("journal_epochs", {})
-        ingest_seqs = dict(sidecar.get("ingest_seqs", {}))
+        epochs = durability.get("journal_epochs", {})
+        ingest_seqs = dict(durability.get("ingest_seqs", {}))
         # Replay every home's tail before the journals open: a torn tail is
         # legal only in the newest segment, and opening a journal over old
         # segments starts a fresh one.
@@ -338,8 +309,8 @@ class DurableFleetGateway:
                 for alert in runtime.ingest(record_to_event(record)):
                     replayed.append(FleetAlert(home_id, alert))
             if replayed_events:
-                # The journal tail holds events appended after the sidecar
-                # was written — the resume sequence advances past them.
+                # The journal tail holds events appended after the
+                # checkpoint — the resume sequence advances past them.
                 ingest_seqs[home_id] = ingest_seqs.get(home_id, 0) + replayed_events
         gateway.alerts.extend(replayed)
         durable = cls(
@@ -347,7 +318,7 @@ class DurableFleetGateway:
             journal_root,
             fsync=fsync,
             outbox=outbox,
-            alert_seqs=sidecar.get("alert_seqs", {}),
+            alert_seqs=durability.get("alert_seqs", {}),
             ingest_seqs=ingest_seqs,
         )
         durable._publish(replayed)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -306,6 +306,9 @@ class CrashTrialResult:
     #: Every provenance record in the recovered archive is byte-identical
     #: to the uninterrupted run's evidence (True when no oracle was given).
     provenance_parity: bool = True
+    #: Every home's ``runtime.drops.summary()`` equals the uninterrupted
+    #: run's (True when no oracle was given).
+    drops_parity: bool = True
 
     @property
     def ok(self) -> bool:
@@ -314,6 +317,7 @@ class CrashTrialResult:
             and self.counters_monotone
             and self.delivery_ok
             and self.provenance_parity
+            and self.drops_parity
         )
 
 
@@ -339,6 +343,7 @@ class ChaosReport:
             "provenance_failures": sum(
                 1 for t in self.trials if not t.provenance_parity
             ),
+            "drop_failures": sum(1 for t in self.trials if not t.drops_parity),
             "torn_trials": sum(1 for t in self.trials if t.torn),
             "checkpointed_trials": sum(1 for t in self.trials if t.checkpointed),
             "delivered": sum(t.delivered for t in self.trials),
@@ -395,11 +400,19 @@ def _fresh_fleet(
     return gateway
 
 
-def fleet_oracle(
+class FleetOracle(NamedTuple):
+    """Per-home results of the uninterrupted run a trial is judged by."""
+
+    alerts: Dict[str, List[Alert]]
+    provenance: Dict[str, Dict[str, bytes]]
+    drops: Dict[str, Dict[str, int]]
+
+
+def run_fleet_oracle(
     deployments: Sequence[ChaosDeployment],
     merged: Sequence[Tuple[str, Event]],
-) -> Tuple[Dict[str, List[Alert]], Dict[str, Dict[str, bytes]]]:
-    """Per-home oracle alert streams and evidence archives.
+) -> FleetOracle:
+    """Per-home oracle alert streams, evidence archives and drop counts.
 
     Each home's events from *merged*, in order, run uninterrupted through
     a plain :class:`HardenedOnlineDice` — no fleet, journal or outbox, so
@@ -407,6 +420,7 @@ def fleet_oracle(
     """
     alerts: Dict[str, List[Alert]] = {}
     provenance: Dict[str, Dict[str, bytes]] = {}
+    drops: Dict[str, Dict[str, int]] = {}
     for dep in deployments:
         runtime = HardenedOnlineDice(
             dep.fit_detector(metrics=telemetry.NULL_REGISTRY),
@@ -422,7 +436,21 @@ def fleet_oracle(
         home_alerts += runtime.finish_stream(dep.end)
         alerts[dep.home_id] = home_alerts
         provenance[dep.home_id] = canonical_provenance(runtime.provenance.records())
-    return alerts, provenance
+        drops[dep.home_id] = runtime.drops.summary()
+    return FleetOracle(alerts, provenance, drops)
+
+
+def fleet_oracle(
+    deployments: Sequence[ChaosDeployment],
+    merged: Sequence[Tuple[str, Event]],
+) -> Tuple[Dict[str, List[Alert]], Dict[str, Dict[str, bytes]]]:
+    """The ``(alerts, provenance)`` pair of :func:`run_fleet_oracle`."""
+    oracle = run_fleet_oracle(deployments, merged)
+    return oracle.alerts, oracle.provenance
+
+
+class SimulatedCrash(Exception):
+    """Raised by a fault hook to kill the gateway mid-operation."""
 
 
 # --------------------------------------------------------------------- #
@@ -446,6 +474,8 @@ def run_fleet_trial(
     max_attempts: int = 4,
     rng=None,
     expected_provenance: Optional[Dict[str, Dict[str, bytes]]] = None,
+    expected_drops: Optional[Dict[str, Dict[str, int]]] = None,
+    save_at_kill: bool = False,
 ) -> CrashTrialResult:
     """Run a durable fleet, kill it at *kill_index*, recover (possibly
     resharded), finish; judge every home against *expected*.
@@ -454,6 +484,13 @@ def run_fleet_trial(
     its home's journal) is byte-truncated after the crash; the source
     then re-feeds from that event, as a resumed pipe would — the
     recovered streams must still match the oracle exactly.
+
+    With *save_at_kill* (and a *checkpoint_index*), a second checkpoint
+    save starts at *kill_index* and the crash is the
+    :class:`SimulatedCrash` a caller's fault hook raises inside it; a
+    save that completes is a crash right after it.  Recovery must then
+    come back from either the first checkpoint or the second, never a
+    mix of the two.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -486,8 +523,10 @@ def run_fleet_trial(
         outbox=make_outbox(),
     )
     # Restore does not resurrect alert *history* (those alerts were
-    # already delivered); each home's stream is prefix + recovered.
+    # already delivered); each home's stream is prefix + recovered, the
+    # prefix being the alerts the restored checkpoint accounts for.
     prefix: Dict[str, List[Alert]] = {home_id: [] for home_id in homes}
+    prefixes = [prefix]
     at_checkpoint = {home_id: 0.0 for home_id in homes}
     if checkpoint_index is not None and 0 < checkpoint_index < kill_index:
         durable.dispatch(merged[:checkpoint_index])
@@ -496,6 +535,14 @@ def run_fleet_trial(
             prefix[home_id] = list(durable.alerts_of(home_id))
             at_checkpoint[home_id] = alerts_total(durable, home_id)
         durable.dispatch(merged[checkpoint_index:kill_index])
+        if save_at_kill:
+            prefixes.append(
+                {home_id: list(durable.alerts_of(home_id)) for home_id in homes}
+            )
+            try:
+                durable.save_checkpoint(ckpt_dir)
+            except SimulatedCrash:
+                pass
     else:
         checkpoint_index = None
         durable.dispatch(merged[:kill_index])
@@ -541,12 +588,19 @@ def run_fleet_trial(
         == expected_provenance[home_id]
         for home_id in expected_provenance
     )
+    drops_parity = expected_drops is None or all(
+        recovered.runtime_of(home_id).drops.summary() == expected_drops[home_id]
+        for home_id in expected_drops
+    )
     recovered.close()
 
-    parity = all(
-        canonical_alerts(prefix[home_id] + recovered.alerts_of(home_id))
-        == canonical_alerts(expected[home_id])
-        for home_id in expected
+    parity = any(
+        all(
+            canonical_alerts(before[home_id] + recovered.alerts_of(home_id))
+            == canonical_alerts(expected[home_id])
+            for home_id in expected
+        )
+        for before in prefixes
     )
     counters_monotone = all(
         after_replay[home_id] >= at_checkpoint[home_id]
@@ -578,6 +632,7 @@ def run_fleet_trial(
         shards_before=shards_before,
         shards_after=shards_after,
         provenance_parity=provenance_parity,
+        drops_parity=drops_parity,
     )
 
 
@@ -594,7 +649,7 @@ def _chaos_batch(
     fleet; shard counts are drawn only when *shard_choices* is given."""
     report = ChaosReport()
     for fleet_seed, deployments, merged in fleets:
-        expected, expected_provenance = fleet_oracle(deployments, merged)
+        oracle = run_fleet_oracle(deployments, merged)
         for k in range(kills):
             kill_index = int(rng.integers(2, len(merged)))
             checkpoint_index: Optional[int] = None
@@ -608,7 +663,7 @@ def _chaos_batch(
             result = run_fleet_trial(
                 deployments,
                 merged,
-                expected,
+                oracle.alerts,
                 os.path.join(base_dir, f"{mode}-{fleet_seed}-{k}"),
                 kill_index=kill_index,
                 checkpoint_index=checkpoint_index,
@@ -617,7 +672,8 @@ def _chaos_batch(
                 shards_after=shards_after,
                 fsync=fsync,
                 rng=rng,
-                expected_provenance=expected_provenance,
+                expected_provenance=oracle.provenance,
+                expected_drops=oracle.drops,
             )
             result.mode = mode
             result.deploy_seed = fleet_seed

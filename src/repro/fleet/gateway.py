@@ -411,14 +411,3 @@ class FleetGateway:
         from .checkpoint import save_fleet_checkpoint
 
         save_fleet_checkpoint(self, directory)
-
-    @classmethod
-    def restore(
-        cls,
-        detectors: Dict[str, Union[DiceDetector, DetectorBackend]],
-        directory,
-        **kwargs,
-    ) -> "FleetGateway":
-        from .checkpoint import restore_fleet
-
-        return restore_fleet(detectors, directory, **kwargs)

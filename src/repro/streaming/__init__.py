@@ -4,10 +4,7 @@ from .checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
     checkpoint_state,
-    load_checkpoint,
-    model_fingerprint,
     restore_runtime,
-    save_checkpoint,
 )
 from .guard import (
     ALL_DROP_REASONS,
@@ -52,10 +49,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointError",
     "checkpoint_state",
-    "load_checkpoint",
-    "model_fingerprint",
     "restore_runtime",
-    "save_checkpoint",
     "ALL_DROP_REASONS",
     "BEFORE_START",
     "DUPLICATE",

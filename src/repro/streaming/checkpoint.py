@@ -14,20 +14,17 @@ via ``repr``, which is shortest-round-trip in Python 3.
 
 The snapshot does **not** include the fitted detector model (fit artefacts
 are large and immutable; persist them separately) nor the alert history
-(alerts already raised have been delivered).  ``model_fingerprint`` guards
-against restoring state onto a different model.
+(alerts already raised have been delivered).  The backend name and model
+fingerprint it records guard against restoring state onto a different
+model.  Snapshots reach disk only inside a fleet checkpoint
+(:mod:`repro.fleet.checkpoint`), one entry per home.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Union
 
-from .. import telemetry
 from ..core import DetectorBackend, DiceDetector, as_backend
-
-_log = telemetry.get_logger("repro.streaming.checkpoint")
 
 #: The only snapshot version restore accepts.  Version 6 stores every
 #: backend's transient state in the shared ``DetectorBackend`` layout
@@ -39,11 +36,6 @@ CHECKPOINT_VERSION = 6
 class CheckpointError(ValueError):
     """A snapshot is malformed, from a different version, from a different
     fitted model, or from a different detector backend."""
-
-
-def model_fingerprint(detector: Union[DiceDetector, DetectorBackend]) -> dict:
-    """Cheap invariants of the fitted model a snapshot must match."""
-    return as_backend(detector).fingerprint()
 
 
 def checkpoint_state(runtime) -> dict:
@@ -72,18 +64,9 @@ def checkpoint_state(runtime) -> dict:
     return state
 
 
-def restore_runtime(
-    detector: Union[DiceDetector, DetectorBackend], state: dict, **runtime_kwargs
-):
-    """Rebuild a :class:`HardenedOnlineDice` from a snapshot.
-
-    ``runtime_kwargs`` pass through to the :class:`HardenedOnlineDice`
-    constructor.  The snapshot itself restores the reorder buffer's
-    lateness/capacity and the supervisor policy, so those overrides only
-    shape the runtime until its state loads.
-    """
-    from .runtime import HardenedOnlineDice
-
+def check_snapshot(backend: DetectorBackend, state: dict) -> None:
+    """Raise :class:`CheckpointError` unless *state* is a current-version
+    snapshot written by *backend*'s name against its fitted model."""
     if not isinstance(state, dict) or "version" not in state:
         raise CheckpointError("not a checkpoint snapshot")
     if state["version"] != CHECKPOINT_VERSION:
@@ -91,7 +74,6 @@ def restore_runtime(
             f"checkpoint version {state['version']} is not the supported "
             f"version {CHECKPOINT_VERSION}"
         )
-    backend = as_backend(detector)
     recorded = state.get("backend")
     if recorded != backend.name:
         raise CheckpointError(
@@ -104,47 +86,25 @@ def restore_runtime(
             f"checkpoint was taken against a different model: "
             f"{state.get('model')} != {expected}"
         )
+
+
+def restore_runtime(
+    detector: Union[DiceDetector, DetectorBackend], state: dict, **runtime_kwargs
+):
+    """Rebuild a :class:`HardenedOnlineDice` from a snapshot.
+
+    ``runtime_kwargs`` pass through to the :class:`HardenedOnlineDice`
+    constructor.  The snapshot itself restores the reorder buffer's
+    lateness/capacity and the supervisor policy, so those overrides only
+    shape the runtime until its state loads.
+    """
+    from .runtime import HardenedOnlineDice
+
+    backend = as_backend(detector)
+    check_snapshot(backend, state)
     runtime = HardenedOnlineDice(backend, **runtime_kwargs)
     runtime.load_state(state["runtime"])
     telemetry_state = state.get("telemetry")
     if telemetry_state is not None:
         runtime.metrics.restore_counters(telemetry_state)
     return runtime
-
-
-def write_json_atomic(state: dict, path: Union[str, os.PathLike]) -> None:
-    """Write *state* as JSON via write-then-rename, so a crash mid-save
-    leaves the previous file intact."""
-    payload = json.dumps(state, indent=2, sort_keys=True)
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-    os.replace(tmp, path)
-    _log.info("checkpoint_saved", path=os.fspath(path), bytes=len(payload))
-
-
-def save_checkpoint(runtime, path: Union[str, os.PathLike]) -> None:
-    """Atomically write the snapshot as JSON."""
-    write_json_atomic(checkpoint_state(runtime), path)
-
-
-def load_checkpoint(path: Union[str, os.PathLike]) -> dict:
-    """Read a snapshot file.
-
-    A missing, unreadable, truncated or non-JSON file raises
-    :class:`CheckpointError` naming the offending path — callers (and the
-    CLI) get one actionable line instead of a raw ``JSONDecodeError``
-    traceback.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint {os.fspath(path)}: {exc}"
-        ) from exc
-    except ValueError as exc:  # json.JSONDecodeError: corrupt or truncated
-        raise CheckpointError(
-            f"corrupt checkpoint {os.fspath(path)}: {exc}"
-        ) from exc
-

@@ -714,17 +714,3 @@ class HardenedOnlineDice(OnlineDice):
         from .checkpoint import checkpoint_state
 
         return checkpoint_state(self)
-
-    def save_checkpoint(self, path) -> None:
-        from .checkpoint import save_checkpoint
-
-        save_checkpoint(self, path)
-
-    @classmethod
-    def restore(
-        cls, detector: Union[DiceDetector, DetectorBackend], state: dict
-    ) -> "HardenedOnlineDice":
-        """Rebuild a runtime from a :meth:`checkpoint` snapshot."""
-        from .checkpoint import restore_runtime
-
-        return restore_runtime(detector, state)

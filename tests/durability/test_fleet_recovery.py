@@ -5,9 +5,13 @@ different shard count and still replay every home's tail exactly —
 the chaos batch randomizes shard layouts across the crash to prove it.
 """
 
+import json
+import os
+import stat
+
 import pytest
 
-from repro.durability import DURABILITY_SIDECAR, DurableFleetGateway
+from repro.durability import DurableFleetGateway, EventJournal
 from repro.streaming import CheckpointError
 from repro.faults import (
     build_chaos_fleet,
@@ -15,6 +19,8 @@ from repro.faults import (
     run_chaos_fleet,
     run_fleet_trial,
 )
+from repro.faults.crash import SimulatedCrash, _fresh_fleet, run_fleet_oracle
+from repro.fleet import MANIFEST_NAME, MANIFEST_SCHEMA
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +99,7 @@ class TestRecoverGuards:
         with pytest.raises(CheckpointError, match="no fleet checkpoint"):
             DurableFleetGateway.recover({}, tmp_path / "journals")
 
-    def test_sidecar_written_with_checkpoint(self, fleet, tmp_path):
-        import json
-        import os
-
-        from repro.durability import DURABILITY_SCHEMA
-        from repro.faults.crash import _fresh_fleet
-
+    def test_durability_block_in_manifest(self, fleet, tmp_path):
         deployments, merged, _ = fleet
         detectors = {dep.home_id: dep.fit_detector() for dep in deployments}
         durable = DurableFleetGateway(
@@ -108,15 +108,14 @@ class TestRecoverGuards:
         durable.dispatch(merged[: len(merged) // 4])
         durable.save_checkpoint(tmp_path / "ckpt")
         durable.close()
-        sidecar_path = os.path.join(tmp_path, "ckpt", DURABILITY_SIDECAR)
-        with open(sidecar_path, "r", encoding="utf-8") as handle:
-            sidecar = json.load(handle)
-        assert sidecar["schema"] == DURABILITY_SCHEMA
-        assert set(sidecar["journal_epochs"]) == {d.home_id for d in deployments}
+        assert os.listdir(tmp_path / "ckpt") == [MANIFEST_NAME]
+        with open(tmp_path / "ckpt" / MANIFEST_NAME, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert manifest["schema"] == MANIFEST_SCHEMA
+        durability = manifest["durability"]
+        assert set(durability["journal_epochs"]) == {d.home_id for d in deployments}
 
     def test_health_reports_per_home_epochs(self, fleet, tmp_path):
-        from repro.faults.crash import _fresh_fleet
-
         deployments, merged, _ = fleet
         detectors = {dep.home_id: dep.fit_detector() for dep in deployments}
         durable = DurableFleetGateway(
@@ -128,3 +127,118 @@ class TestRecoverGuards:
             d.home_id for d in deployments
         }
         durable.close()
+
+
+class _SaveSpy:
+    """Logs ``os.fsync``, ``os.replace`` and
+    ``EventJournal.truncate_through`` calls in order, and raises
+    :class:`SimulatedCrash` in place of call number *at* of *target*
+    (``"replace"`` or ``"truncate"``; never when *target* is ``None``)."""
+
+    def __init__(self, monkeypatch, target=None, at=0):
+        self.log = []
+        self.target, self.at = target, at
+        self.fired = False
+        real_fsync, real_replace = os.fsync, os.replace
+        real_truncate = EventJournal.truncate_through
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            self.log.append(("fsync", stat.S_ISDIR(info.st_mode), info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            self._call("replace", os.path.basename(dst))
+            real_replace(src, dst)
+
+        def truncate_through(journal, epoch):
+            self._call("truncate")
+            return real_truncate(journal, epoch)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(EventJournal, "truncate_through", truncate_through)
+
+    def count(self, kind):
+        return sum(1 for call in self.log if call[0] == kind)
+
+    def _call(self, kind, *detail):
+        self.log.append((kind, *detail))
+        if kind == self.target and self.count(kind) == self.at:
+            self.target = None  # the process is dead: fire once
+            self.fired = True
+            raise SimulatedCrash(f"killed at {kind} #{self.at}")
+
+
+class TestKillInsideSave:
+    """A kill anywhere inside a checkpoint save recovers from the old
+    checkpoint or the new one, never a mix of the two."""
+
+    def test_every_kill_point_recovers_exactly(self, fleet, tmp_path, monkeypatch):
+        deployments, merged, _ = fleet
+        oracle = run_fleet_oracle(deployments, merged)
+
+        def trial(name, target=None, at=0):
+            with monkeypatch.context() as patch:
+                spy = _SaveSpy(patch, target, at)
+                result = run_fleet_trial(
+                    deployments,
+                    merged,
+                    oracle.alerts,
+                    str(tmp_path / name),
+                    kill_index=len(merged) // 2,
+                    checkpoint_index=len(merged) // 4,
+                    save_at_kill=True,
+                    expected_provenance=oracle.provenance,
+                    expected_drops=oracle.drops,
+                )
+            assert spy.fired == (target is not None)
+            return result, spy
+
+        # An unkilled run counts the calls: both saves make the same ones.
+        _, spy = trial("count")
+        per_save = {kind: spy.count(kind) // 2 for kind in ("replace", "truncate")}
+        assert per_save["replace"] >= 1 and per_save["truncate"] == len(deployments)
+        # Each rename of the second save, then the gap between its last
+        # rename and its first truncation.
+        kill_points = [("replace", k) for k in range(1, per_save["replace"] + 1)]
+        kill_points.append(("truncate", 1))
+        failed = []
+        for target, k in kill_points:
+            result, _ = trial(f"{target}-{k}", target, per_save[target] + k)
+            if not result.ok:
+                failed.append(
+                    f"{target} {k} of {per_save[target]}: parity={result.parity} "
+                    f"delivery={result.delivery_ok} "
+                    f"provenance={result.provenance_parity} "
+                    f"drops={result.drops_parity}"
+                )
+        assert not failed, failed
+
+    def test_checkpoint_is_durable_before_the_journal_drops_its_copy(
+        self, fleet, tmp_path, monkeypatch
+    ):
+        deployments, merged, _ = fleet
+        detectors = {dep.home_id: dep.fit_detector() for dep in deployments}
+        durable = DurableFleetGateway(
+            _fresh_fleet(deployments, detectors, 2), tmp_path / "journals"
+        )
+        durable.dispatch(merged[: len(merged) // 4])
+        spy = _SaveSpy(monkeypatch)
+        ckpt = tmp_path / "ckpt"
+        durable.save_checkpoint(ckpt)
+        monkeypatch.undo()
+        durable.close()
+
+        calls = spy.log
+        kinds = [call[0] for call in calls]
+        assert kinds.count("replace") == 1
+        rename = kinds.index("replace")
+        assert calls[rename] == ("replace", MANIFEST_NAME)
+        # The temp file that became the manifest is fsynced before the
+        # rename, the directory after it, and only then is any journal
+        # segment dropped.
+        assert calls[rename - 1] == ("fsync", False, os.stat(ckpt / MANIFEST_NAME).st_ino)
+        assert calls[rename + 1] == ("fsync", True, os.stat(ckpt).st_ino)
+        assert kinds.index("truncate") > rename + 1
+        assert kinds.count("truncate") == len(deployments)

@@ -1,4 +1,4 @@
-"""Fleet checkpoint/restore: manifest + per-home snapshots.
+"""Fleet checkpoint/restore: one manifest holding every home's snapshot.
 
 The property under test mirrors the single-gateway one, lifted to the
 fleet:  restore(checkpoint(mid-stream)) + replay(tail) produces exactly
@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from repro.durability import DURABILITY_SIDECAR, load_durability_sidecar
 from repro.fleet import (
     MANIFEST_NAME,
     MANIFEST_SCHEMA,
@@ -24,7 +23,7 @@ from repro.fleet import (
     replay_fleet,
     restore_fleet,
 )
-from repro.streaming import CheckpointError
+from repro.streaming import CheckpointError, RefreshPolicy
 from tests.fleet.conftest import canon
 
 
@@ -65,6 +64,46 @@ def test_random_cut_round_trip(
         assert canon(head + tail) == uninterrupted[home.home_id], (
             f"{home.home_id} diverged after cut at tick {cut}"
         )
+
+
+def test_restore_after_a_context_refresh(tmp_path):
+    # A home entry records the pre-refresh model the snapshot was taken
+    # against, so a home whose context refreshed mid-stream restores onto
+    # a fresh fit and re-applies the refresh from its carried history.
+    homes = build_fleet_homes(2, seed=29, hours=24.0, train_hours=18.0)
+    policy = RefreshPolicy(
+        enabled=True, violation_window=5, violation_threshold=0.2,
+        collect_windows=2, cooldown_windows=5,
+    )
+
+    def fresh():
+        gateway = FleetGateway(2)
+        for home in homes:
+            gateway.add_home(
+                home.home_id, home.fit_detector(), start=home.split, refresh=policy
+            )
+        return gateway
+
+    full = fresh()
+    replay_fleet(full, homes)
+    first = fresh()
+    for _, batch in merged_ticks(homes):
+        first.dispatch(batch)
+        if any(
+            first.runtime_of(h.home_id).refresher.stats()["applied"] for h in homes
+        ):
+            break
+    else:
+        pytest.fail("the stream was expected to trigger a refresh")
+    first.save_checkpoint(tmp_path)
+
+    detectors = {home.home_id: home.fit_detector() for home in homes}
+    resumed = restore_fleet(detectors, tmp_path, refresh=policy)
+    replay_fleet(resumed, homes)
+    for home in homes:
+        head = first.alerts_of(home.home_id)
+        tail = resumed.alerts_of(home.home_id)
+        assert canon(head + tail) == canon(full.alerts_of(home.home_id))
 
 
 def test_fleet_counter_totals_survive_restart(tmp_path):
@@ -119,14 +158,14 @@ def test_checkpoint_layout(fleet_homes, fleet_detectors, tmp_path):
     gateway = _fresh_gateway(fleet_homes, fleet_detectors)
     replay_fleet(gateway, fleet_homes, finish=False)
     gateway.save_checkpoint(tmp_path)
-    files = sorted(os.listdir(tmp_path))
-    assert MANIFEST_NAME in files
-    assert len(files) == len(fleet_homes) + 1
+    assert os.listdir(tmp_path) == [MANIFEST_NAME]
     manifest = load_fleet_manifest(tmp_path)
     assert set(manifest["homes"]) == set(gateway.home_ids)
     for home_id, entry in manifest["homes"].items():
         assert entry["shard"] == gateway.shard_index_of(home_id)
-        assert (tmp_path / entry["file"]).exists()
+        # The entry carries the home's whole runtime snapshot.
+        snapshot = json.loads(json.dumps(gateway.runtime_of(home_id).checkpoint()))
+        assert {key: entry[key] for key in snapshot} == snapshot
 
 
 def test_restore_requires_every_detector(
@@ -140,19 +179,6 @@ def test_restore_requires_every_detector(
     del partial[dropped]
     with pytest.raises(CheckpointError, match=dropped):
         restore_fleet(partial, tmp_path)
-
-
-def test_restore_names_home_with_missing_snapshot(
-    fleet_homes, fleet_detectors, tmp_path
-):
-    gateway = _fresh_gateway(fleet_homes, fleet_detectors)
-    replay_fleet(gateway, fleet_homes, finish=False)
-    gateway.save_checkpoint(tmp_path)
-    manifest = load_fleet_manifest(tmp_path)
-    victim = sorted(manifest["homes"])[0]
-    os.remove(tmp_path / manifest["homes"][victim]["file"])
-    with pytest.raises(CheckpointError, match=f"missing snapshot.*{victim}"):
-        restore_fleet(fleet_detectors, tmp_path)
 
 
 def test_restore_names_home_with_fingerprint_mismatch(
@@ -173,7 +199,12 @@ def test_manifest_validation_rejects_garbage(tmp_path):
     path = tmp_path / MANIFEST_NAME
     # Only the current schema restores; earlier manifests are refused by
     # name, like any foreign document.
-    for schema in ("something-else/9", "dice-fleet-manifest/1", "dice-fleet-manifest/2"):
+    for schema in (
+        "something-else/9",
+        "dice-fleet-manifest/1",
+        "dice-fleet-manifest/2",
+        "dice-fleet-manifest/3",
+    ):
         path.write_text(
             json.dumps({"schema": schema, "num_shards": 2, "homes": {}})
         )
@@ -181,22 +212,12 @@ def test_manifest_validation_rejects_garbage(tmp_path):
             load_fleet_manifest(tmp_path)
         assert schema in str(exc.value) and str(path) in str(exc.value)
 
+    # The durability block a durable gateway stores beside the homes is
+    # held to its shape the same way.
     path.write_text(
         json.dumps(
-            {
-                "schema": MANIFEST_SCHEMA,
-                "num_shards": 2,
-                "homes": {"h": {"file": "../outside.json"}},
-            }
+            {"schema": MANIFEST_SCHEMA, "num_shards": 2, "homes": {}, "durability": []}
         )
     )
-    with pytest.raises(CheckpointError, match="escapes"):
+    with pytest.raises(CheckpointError, match="durability block"):
         load_fleet_manifest(tmp_path)
-
-    # The durability sidecar beside the manifest is held to its current
-    # schema the same way.
-    sidecar = tmp_path / DURABILITY_SIDECAR
-    sidecar.write_text(json.dumps({"schema": "dice-fleet-durability/1"}))
-    with pytest.raises(CheckpointError, match="dice-fleet-durability/1") as exc:
-        load_durability_sidecar(tmp_path)
-    assert str(sidecar) in str(exc.value)

@@ -15,13 +15,12 @@ import pytest
 
 from repro.core import DiceDetector
 from repro.faults import PipeFaultInjector, PipeFaultSpec, PipeFaultType
+from repro.fleet import MANIFEST_NAME, FleetGateway, load_fleet_manifest
 from repro.streaming import (
     CheckpointError,
     HardenedOnlineDice,
     SupervisorPolicy,
-    load_checkpoint,
     restore_runtime,
-    save_checkpoint,
 )
 from tests.conftest import HOUR
 
@@ -200,21 +199,35 @@ class TestRoundTripDeterminism:
         assert _canon(head + tail) == _canon(expected)
 
 
+HOME = "home"
+
+
+def _save_one_home(runtime, directory):
+    """Write *runtime*'s snapshot the way it reaches disk: as the one home
+    of a fleet manifest.  Returns the manifest path."""
+    gateway = FleetGateway(1)
+    gateway.add_runtime(HOME, runtime)
+    gateway.save_checkpoint(directory)
+    return directory / MANIFEST_NAME
+
+
+def _load_one_home(directory):
+    return load_fleet_manifest(directory)["homes"][HOME]
+
+
 class TestCheckpointFile:
     def test_save_and_restore_from_file(self, detector, live_events, tmp_path):
         runtime = _runtime(detector, 3.0 * HOUR)
         runtime.ingest_many(live_events[: len(live_events) // 3])
-        path = tmp_path / "gateway.ckpt.json"
-        save_checkpoint(runtime, path)
+        path = _save_one_home(runtime, tmp_path)
         assert path.exists()
-        resumed = restore_runtime(detector, load_checkpoint(path))
+        resumed = restore_runtime(detector, _load_one_home(tmp_path))
         assert resumed.state_dict() == runtime.state_dict()
 
     def test_version_mismatch_rejected(self, detector, live_events, tmp_path):
         runtime = _runtime(detector, 3.0 * HOUR)
-        path = tmp_path / "gateway.ckpt.json"
-        save_checkpoint(runtime, path)
-        state = load_checkpoint(path)
+        _save_one_home(runtime, tmp_path)
+        state = _load_one_home(tmp_path)
         # Only the current version restores; every earlier one is refused.
         for version in (1, 2, 3, 4, 5, 999):
             state["version"] = version
@@ -233,16 +246,16 @@ class TestCheckpointFile:
             restore_runtime(detector, {"hello": "world"})
 
     def test_missing_file_raises_checkpoint_error_naming_path(self, tmp_path):
-        path = tmp_path / "nowhere.ckpt.json"
-        with pytest.raises(CheckpointError, match="cannot read checkpoint") as exc:
-            load_checkpoint(path)
+        path = tmp_path / "nowhere" / MANIFEST_NAME
+        with pytest.raises(CheckpointError, match="cannot read fleet manifest") as exc:
+            _load_one_home(tmp_path / "nowhere")
         assert str(path) in str(exc.value)
 
     def test_corrupt_file_raises_checkpoint_error_naming_path(self, tmp_path):
-        path = tmp_path / "gateway.ckpt.json"
+        path = tmp_path / MANIFEST_NAME
         path.write_text("{this is not json")
-        with pytest.raises(CheckpointError, match="corrupt checkpoint") as exc:
-            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="corrupt fleet manifest") as exc:
+            _load_one_home(tmp_path)
         assert str(path) in str(exc.value)
 
     def test_v4_checkpoint_round_trips_provenance(
@@ -254,12 +267,11 @@ class TestCheckpointFile:
         runtime = _runtime(detector, 3.0 * HOUR)
         runtime.ingest_many(_adversarial(live_events, seed=5))
         assert runtime.provenance.records(), "scenario must record evidence"
-        path = tmp_path / "gateway.ckpt.json"
-        save_checkpoint(runtime, path)
-        state = load_checkpoint(path)
+        _save_one_home(runtime, tmp_path)
+        state = _load_one_home(tmp_path)
         assert state["version"] == CHECKPOINT_VERSION == 6
         assert state["runtime"]["provenance"] is not None
-        resumed = restore_runtime(detector, load_checkpoint(path))
+        resumed = restore_runtime(detector, _load_one_home(tmp_path))
         assert [
             canonical_record_bytes(r) for r in resumed.provenance.records()
         ] == [canonical_record_bytes(r) for r in runtime.provenance.records()]
@@ -274,9 +286,8 @@ class TestCheckpointFile:
         # JSONDecodeError traceback.
         runtime = _runtime(detector, 3.0 * HOUR)
         runtime.ingest_many(live_events[: len(live_events) // 3])
-        path = tmp_path / "gateway.ckpt.json"
-        save_checkpoint(runtime, path)
+        path = _save_one_home(runtime, tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(CheckpointError, match="corrupt checkpoint"):
-            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="corrupt fleet manifest"):
+            _load_one_home(tmp_path)

@@ -189,16 +189,17 @@ class TestStream:
         ckpt = tmp_path / "bad-ckpt"
         assert main(self.ARGS + ["--save-checkpoint", str(ckpt)]) == 0
         capsys.readouterr()
-        (snapshot,) = [p for p in ckpt.iterdir() if p.name != "manifest.json"]
-        home = json.loads(snapshot.read_text())
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        (home,) = manifest["homes"].values()
         del home["runtime"]["dice"]
         corruptions = [
-            ("{torn mid-write", "corrupt checkpoint"),
-            # Valid JSON that lost the backend payload.
-            (json.dumps(home), "'dice'"),
+            ("{torn mid-write", "corrupt fleet manifest"),
+            # Valid JSON whose home entry lost the backend payload.
+            (json.dumps(manifest), "'dice'"),
         ]
         for i, (text, reason) in enumerate(corruptions):
-            snapshot.write_text(text)
+            manifest_path.write_text(text)
             journal = tmp_path / f"journal-{i}"
             code = main(
                 self.ARGS
