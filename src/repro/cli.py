@@ -1407,7 +1407,7 @@ def _cmd_explain(args) -> int:
     import json
     import os
 
-    from .durability import PROVENANCE_WAL, read_segment
+    from .durability import PROVENANCE_WAL, SegmentReader
     from .telemetry import render_explanation
 
     if args.provenance is not None:
@@ -1436,39 +1436,44 @@ def _cmd_explain(args) -> int:
             "bad_provenance", path=source, error="no provenance archive found"
         )
         return 2
-    records = []
+
+    def archive(path):
+        # 'stream --provenance-out' files are JSON lines (first byte '{');
+        # the durable archive is length+CRC framed (first byte is a frame
+        # header, never '{').
+        with open(path, "rb") as handle:
+            first = handle.read(1)
+        if first == b"{":
+            with open(path, "r", encoding="utf-8") as handle:
+                for line in handle:
+                    if line.strip():
+                        yield json.loads(line)
+        else:
+            yield from SegmentReader(path)
+
+    def wanted(candidate: dict) -> bool:
+        if args.seq is not None:
+            return candidate.get("alert", {}).get("seq") == args.seq
+        if args.selector is not None:
+            return candidate.get("id", "").startswith(args.selector)
+        return True  # --last
+
+    # Stream every archive and keep only the newest match.
+    record = None
+    records = 0
     for path in paths:
         try:
-            # 'stream --provenance-out' files are JSON lines (first byte
-            # '{'); the durable archive is length+CRC framed (first byte is
-            # a frame header, never '{').
-            with open(path, "rb") as handle:
-                first = handle.read(1)
-            if first == b"{":
-                with open(path, "r", encoding="utf-8") as handle:
-                    for line in handle:
-                        if line.strip():
-                            records.append(json.loads(line))
-            else:
-                records.extend(read_segment(path)[0])
+            for candidate in archive(path):
+                records += 1
+                if wanted(candidate):
+                    record = candidate
         except (OSError, ValueError) as exc:
             _log.error("bad_provenance", path=path, error=str(exc))
             return 2
-    record = None
-    if args.seq is not None:
-        for candidate in records:
-            if candidate.get("alert", {}).get("seq") == args.seq:
-                record = candidate
-    elif args.selector is not None:
-        for candidate in records:
-            if candidate.get("id", "").startswith(args.selector):
-                record = candidate
-    else:
-        record = records[-1] if records else None
     if record is None:
         _log.error(
             "no_such_alert", path=source, selector=args.selector, seq=args.seq,
-            records=len(records),
+            records=records,
         )
         return 1
     if args.as_json:

@@ -19,9 +19,9 @@ from .journal import (
     MAX_RECORD_BYTES,
     EventJournal,
     JournalError,
+    SegmentReader,
     encode_record,
     frame_payload,
-    iter_segment,
     list_segments,
     read_segment,
     replay_records,
@@ -64,9 +64,9 @@ __all__ = [
     "MAX_RECORD_BYTES",
     "EventJournal",
     "JournalError",
+    "SegmentReader",
     "encode_record",
     "frame_payload",
-    "iter_segment",
     "list_segments",
     "read_segment",
     "replay_records",

@@ -290,19 +290,20 @@ class DurableFleetGateway:
         ingest_seqs = dict(durability.get("ingest_seqs", {}))
         # Replay every home's tail before the journals open: a torn tail is
         # legal only in the newest segment, and opening a journal over old
-        # segments starts a fresh one.
+        # segments starts a fresh one.  The tail streams from disk, one
+        # decoded record at a time.
         replayed: List[FleetAlert] = []
         total_records = 0
         for home_id in gateway.home_ids:
             runtime = gateway.runtime_of(home_id)
-            records, _ = replay_records(
+            tail, _ = replay_records(
                 os.path.join(os.fspath(journal_root), home_id),
                 after_epoch=epochs.get(home_id, -1),
                 metrics=runtime.metrics,
             )
-            total_records += len(records)
+            total_records += len(tail)
             replayed_events = 0
-            for record in records:
+            for record in tail:
                 if record.get("type") != "event":
                     continue
                 replayed_events += 1

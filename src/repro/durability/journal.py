@@ -23,11 +23,20 @@ Python 3).  The CRC covers the payload bytes, so a torn tail — the
 half-written record a power cut leaves behind — is detected and safely
 discarded rather than replayed as garbage.
 
+One reader, :class:`SegmentReader`, reads every log of the package in
+this framing: journal segments and the side logs (``provenance.wal``,
+``outbox.wal``, ``acks.wal``).  It streams one decoded record at a time,
+stops at the first torn frame, and reports where the valid prefix ends,
+so a log can cut its torn tail before anything is appended behind it.
+
 Segments rotate on checkpoint epochs: the writer appends to
 ``journal-<epoch>.wal``; a checkpoint at epoch *e* supersedes every
 record in segments ≤ *e*, so they are truncated and a fresh segment
 *e*+1 is opened.  Recovery replays only the segments **after** the
-checkpoint's epoch, in epoch order.
+checkpoint's epoch, in epoch order.  :func:`replay_records` reads the
+tail's frames once, to validate and count them, and returns a
+:class:`JournalTail` that decodes them again one at a time as recovery
+ingests them: a restart holds one journal record, not the whole tail.
 
 Fsync policy is the classic durability/throughput dial:
 
@@ -40,6 +49,7 @@ Fsync policy is the classic durability/throughput dial:
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -93,49 +103,81 @@ def encode_record(record: dict) -> bytes:
     )
 
 
-def iter_segment(path: PathLike) -> Iterator[Tuple[Optional[dict], bool]]:
-    """Yield ``(record, is_torn)`` for one segment file.
+class SegmentReader:
+    """Stream the well-formed records of one framed log file, in order.
 
-    Well-formed records yield ``(dict, False)``.  A torn tail — short
-    header, short payload, CRC mismatch, or undecodable JSON at the end of
-    the scan — yields a single final ``(None, True)`` and stops; bytes
-    after a torn record are never interpreted (a partial write means the
-    writer died *here*, so nothing after it can be trusted).
+    Every log of this package — journal segments, ``provenance.wal``,
+    ``outbox.wal`` and ``acks.wal`` — is read through this one reader.
+    Iterating decodes one record at a time and stops at the first torn
+    frame (short header, short payload, a length past
+    :data:`MAX_RECORD_BYTES`, CRC mismatch or undecodable JSON); bytes
+    after it are never interpreted, since a partial write means the writer
+    died *there*.  Once iteration ends, :attr:`count` is the number of
+    records yielded, :attr:`valid_bytes` the length of the well-formed
+    prefix and :attr:`torn` whether anything followed it.  A missing file
+    reads as empty: every log is created by its first append.
     """
-    with open(path, "rb") as handle:
-        while True:
-            header = handle.read(_HEADER.size)
-            if not header:
-                return
-            if len(header) < _HEADER.size:
-                yield None, True
-                return
-            length, crc = _HEADER.unpack(header)
-            if length > MAX_RECORD_BYTES:
-                yield None, True
-                return
-            payload = handle.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                yield None, True
-                return
-            try:
-                record = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                yield None, True
-                return
-            yield record, False
+
+    def __init__(self, path: PathLike) -> None:
+        self.path = os.fspath(path)
+        self.count = 0
+        self.valid_bytes = 0
+        self.torn = False
+
+    def __iter__(self) -> Iterator[dict]:
+        self.count = self.valid_bytes = 0
+        self.torn = False
+        if not os.path.exists(self.path):
+            return
+        with open(self.path, "rb") as handle:
+            while True:
+                header = handle.read(_HEADER.size)
+                if not header:
+                    return
+                frame = _read_frame(handle, header)
+                if frame is None:
+                    self.torn = True
+                    return
+                record, size = frame
+                self.count += 1
+                self.valid_bytes += size
+                yield record
+
+    def cut(self) -> bool:
+        """Truncate a torn file to its well-formed prefix (after iterating).
+
+        A log that will be appended to again must lose its torn tail first:
+        readers stop at the torn frame, so a record appended behind it would
+        be on disk yet never read back.  Returns whether anything was cut.
+        """
+        if not self.torn:
+            return False
+        with open(self.path, "r+b") as handle:
+            handle.truncate(self.valid_bytes)
+        return True
+
+
+def _read_frame(handle, header: bytes) -> Optional[Tuple[object, int]]:
+    """``(record, frame size)`` of the frame *header* opens; None if torn."""
+    if len(header) < _HEADER.size:
+        return None
+    length, crc = _HEADER.unpack(header)
+    if length > MAX_RECORD_BYTES:
+        return None
+    payload = handle.read(length)
+    if len(payload) < length or zlib.crc32(payload) != crc:
+        return None
+    try:
+        return json.loads(payload.decode("utf-8")), _HEADER.size + length
+    except (UnicodeDecodeError, ValueError):
+        return None
 
 
 def read_segment(path: PathLike) -> Tuple[List[dict], bool]:
     """All well-formed records of a segment, plus a torn-tail flag."""
-    records: List[dict] = []
-    torn = False
-    for record, is_torn in iter_segment(path):
-        if is_torn:
-            torn = True
-        else:
-            records.append(record)
-    return records, torn
+    reader = SegmentReader(path)
+    records = list(reader)
+    return records, reader.torn
 
 
 def segment_name(epoch: int) -> str:
@@ -304,20 +346,44 @@ class EventJournal:
         self.close()
 
 
+class JournalTail:
+    """The records a replay covers: sized up front, decoded on iteration.
+
+    :func:`replay_records` has already read every frame, so corruption
+    raises before anything is ingested and ``len()`` is exact.  Iterating
+    reads the segments again and holds one decoded record at a time, so a
+    restart's memory does not grow with the tail.
+    """
+
+    def __init__(self, segments: List[Tuple[str, int]]) -> None:
+        #: ``(path, records)`` per replayed segment, in epoch order.
+        self.segments = segments
+        self._count = sum(count for _path, count in segments)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[dict]:
+        for path, count in self.segments:
+            yield from itertools.islice(SegmentReader(path), count)
+
+
 def replay_records(
     directory: PathLike,
     *,
     after_epoch: int = -1,
     metrics: Optional["telemetry.MetricsRegistry"] = None,
-) -> Tuple[List[dict], int]:
-    """All records in segments with epoch > *after_epoch*, in order.
+) -> Tuple[JournalTail, int]:
+    """The records in segments with epoch > *after_epoch*, in order.
 
-    Returns ``(records, torn)`` where *torn* counts discarded torn-tail
-    records.  A torn tail is legal only in the **final** segment — that is
-    where a crash can land mid-write.  A torn record in any earlier
-    segment means records after it were already lost when later segments
-    were written, so replaying across the gap would silently reorder
-    history: that raises :class:`JournalError` instead.
+    Returns ``(tail, torn)`` where *tail* is a :class:`JournalTail` and
+    *torn* counts discarded torn-tail records.  A torn tail is legal only in
+    the **final** segment — that is where a crash can land mid-write — and
+    is cut off here, so the segment still reads whole once a later life's
+    segments follow it.  A torn record in any earlier segment means records
+    after it were already lost when later segments were written, so
+    replaying across the gap would silently reorder history: that raises
+    :class:`JournalError` instead.
     """
     registry = metrics if metrics is not None else telemetry.NULL_REGISTRY
     replayed_counter = registry.counter(
@@ -331,23 +397,27 @@ def replay_records(
         for epoch, path in list_segments(directory)
         if epoch > after_epoch
     ]
-    records: List[dict] = []
+    counted: List[Tuple[str, int]] = []
     torn = 0
     for index, (epoch, path) in enumerate(segments):
-        segment_records, segment_torn = read_segment(path)
-        if segment_torn and index != len(segments) - 1:
-            raise JournalError(
-                f"segment {path} has a torn record but is not the newest "
-                f"segment — the journal is corrupt, not merely crash-cut"
-            )
-        records.extend(segment_records)
-        if segment_torn:
+        reader = SegmentReader(path)
+        for _record in reader:
+            pass
+        if reader.torn:
+            if index != len(segments) - 1:
+                raise JournalError(
+                    f"segment {path} has a torn record but is not the newest "
+                    f"segment — the journal is corrupt, not merely crash-cut"
+                )
+            reader.cut()
             torn += 1
             _log.warning(
                 "journal_torn_tail_discarded", segment=path, epoch=epoch
             )
-    if records:
-        replayed_counter.inc(len(records))
+        counted.append((path, reader.count))
+    tail = JournalTail(counted)
+    if len(tail):
+        replayed_counter.inc(len(tail))
     if torn:
         torn_counter.inc(torn)
-    return records, torn
+    return tail, torn

@@ -19,6 +19,14 @@ alerts the same durability the event journal gives events:
 Alert ids are pure functions of ``(home, sequence, alert content)``, so a
 recovery replay that reproduces the alert stream reproduces the ids —
 redelivery after a crash is idempotent end to end.
+
+A restart streams both logs through
+:class:`~repro.durability.journal.SegmentReader` and keeps the ack
+outcomes, the set of journaled ids and only the **unacked** records, so
+its memory follows what is still pending rather than every alert ever
+offered.  It also cuts a torn tail off either log before anything is
+appended behind it — a record written after the partial frame would be
+on disk yet invisible to the next restart.
 """
 
 from __future__ import annotations
@@ -26,12 +34,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Set, Union
 
 from .. import telemetry
 from ..streaming import Alert
 from ..telemetry.provenance import alert_body, trace_id
-from .journal import encode_record, read_segment
+from .journal import SegmentReader, encode_record
 
 PathLike = Union[str, os.PathLike]
 
@@ -188,36 +196,39 @@ class AlertOutbox:
         self._wal_path = os.path.join(self.directory, OUTBOX_WAL)
         self._acks_path = os.path.join(self.directory, ACKS_WAL)
         self._dead_path = os.path.join(self.directory, DEAD_LETTER)
-        self._journaled: Dict[str, dict] = {}
-        self._acked: Dict[str, str] = {}
+        self._ids: Set[str] = set()  # every journaled alert id
+        self._pending: Dict[str, dict] = {}  # journaled and unacked, in order
+        self._acked: Dict[str, str] = {}  # id -> "delivered" | "dead"
         self._load()
 
     # ------------------------------------------------------------------ #
 
     def _load(self) -> None:
-        """Rebuild journaled/acked sets from disk (restart path).
+        """Rebuild the ids, ack outcomes and pending records (restart path).
 
         Both logs tolerate a torn tail — a crash mid-append loses at most
         the record being written, which for the ack log just means one
-        redelivery (at-least-once, by design).
+        redelivery (at-least-once, by design) — and lose it here, before
+        any append could land behind it.
         """
-        if os.path.exists(self._wal_path):
-            records, _ = read_segment(self._wal_path)
-            for record in records:
-                self._journaled[record["id"]] = record
-        if os.path.exists(self._acks_path):
-            acks, _ = read_segment(self._acks_path)
-            for ack in acks:
-                self._acked[ack["id"]] = ack.get("outcome", "delivered")
+        acks = SegmentReader(self._acks_path)
+        for ack in acks:
+            self._acked[ack["id"]] = ack.get("outcome", "delivered")
+        journal = SegmentReader(self._wal_path)
+        for record in journal:
+            self._ids.add(record["id"])
+            if record["id"] not in self._acked:
+                self._pending[record["id"]] = record
+        for reader in (acks, journal):
+            if reader.cut():
+                _log.warning(
+                    "outbox_torn_tail", path=reader.path, kept_records=reader.count
+                )
 
     @property
     def pending(self) -> List[dict]:
         """Journaled alerts not yet acked, in journal order."""
-        return [
-            record
-            for record in self._journaled.values()
-            if record["id"] not in self._acked
-        ]
+        return list(self._pending.values())
 
     def dead_letters(self) -> List[dict]:
         """The dead-letter file's records (empty when it does not exist)."""
@@ -243,18 +254,21 @@ class AlertOutbox:
         and its delivery state stand.
         """
         self._offered_counter.inc()
-        if record["id"] in self._journaled:
+        if record["id"] in self._ids:
             self._deduped_counter.inc()
             return False
         with open(self._wal_path, "ab") as handle:
             handle.write(encode_record(record))
-        self._journaled[record["id"]] = record
+        self._ids.add(record["id"])
+        if record["id"] not in self._acked:
+            self._pending[record["id"]] = record
         return True
 
     def _ack(self, record_id: str, outcome: str) -> None:
         with open(self._acks_path, "ab") as handle:
             handle.write(encode_record({"id": record_id, "outcome": outcome}))
         self._acked[record_id] = outcome
+        self._pending.pop(record_id, None)
 
     def _backoff(self, attempt: int) -> float:
         delay = min(self.max_delay, self.base_delay * (2.0 ** (attempt - 1)))

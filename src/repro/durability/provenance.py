@@ -8,6 +8,12 @@ a crash.  The file uses the event journal's length+CRC framing, is
 append-only, and is **never truncated** by checkpoints: it is the audit
 archive, not replay state.
 
+The archive is indexed by id.  Opening it streams the file once through
+:class:`~repro.durability.journal.SegmentReader` and keeps only the trace
+ids, so a restart holds one decoded record at a time however old the
+archive is; :meth:`ProvenanceLog.find` and :meth:`ProvenanceLog.records`
+read the file again when asked.
+
 Deduplication is the crash-safety story.  Recovery replays the journal
 tail, the runtime regenerates byte-identical evidence records (everything
 in them derives from event time and fitted state), and the log skips ids
@@ -19,11 +25,11 @@ replay.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Set, Union
 
 from .. import telemetry
 from ..telemetry.provenance import canonical_record_bytes
-from .journal import frame_payload, read_segment
+from .journal import SegmentReader, frame_payload
 
 PathLike = Union[str, os.PathLike]
 
@@ -60,29 +66,17 @@ class ProvenanceLog:
             PROVENANCE_DEDUPED_TOTAL,
             "Evidence-record appends suppressed as duplicates",
         )
-        self._ids: Dict[str, int] = {}
+        self._ids: Set[str] = set()
         self._load()
 
     def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        records, torn = read_segment(self.path)
-        for index, record in enumerate(records):
-            self._ids[record["id"]] = index
-        if torn:
-            # Shear the partial frame off: readers stop at the first torn
-            # frame, so an append landing after the garbage would be
-            # archived in the index yet invisible on disk.  Every frame is
-            # ``frame_payload(canonical_record_bytes(...))``, so the valid
-            # prefix length is exactly reconstructible from the records.
-            valid = sum(
-                len(frame_payload(canonical_record_bytes(record)))
-                for record in records
-            )
-            with open(self.path, "r+b") as handle:
-                handle.truncate(valid)
+        reader = SegmentReader(self.path)
+        for record in reader:
+            self._ids.add(record["id"])
+        # Shear the partial frame off, so an append does not land behind it.
+        if reader.cut():
             _log.warning(
-                "provenance_log_torn_tail", path=self.path, kept_records=len(records)
+                "provenance_log_torn_tail", path=self.path, kept_records=reader.count
             )
 
     def __len__(self) -> int:
@@ -98,7 +92,7 @@ class ProvenanceLog:
             return False
         with open(self.path, "ab") as handle:
             handle.write(frame_payload(canonical_record_bytes(record)))
-        self._ids[record["id"]] = len(self._ids)
+        self._ids.add(record["id"])
         self._appended_counter.inc()
         return True
 
@@ -111,15 +105,12 @@ class ProvenanceLog:
 
     def records(self) -> List[dict]:
         """All archived records, append order (re-read from disk)."""
-        if not os.path.exists(self.path):
-            return []
-        records, _ = read_segment(self.path)
-        return records
+        return list(SegmentReader(self.path))
 
     def find(self, selector: str) -> Optional[dict]:
         """Newest archived record whose trace id starts with *selector*."""
         match: Optional[dict] = None
-        for record in self.records():
+        for record in SegmentReader(self.path):
             if record["id"].startswith(selector):
                 match = record
         return match

@@ -161,7 +161,7 @@ class TestRotation:
         journal.close()
         records, torn = replay_records(tmp_path, after_epoch=0)
         assert torn == 0
-        assert records == [{"epoch": 1}, {"epoch": 2}]
+        assert list(records) == [{"epoch": 1}, {"epoch": 2}]
 
     def test_counters(self, tmp_path):
         registry = MetricsRegistry()
@@ -212,7 +212,7 @@ class TestTornTail:
         journal.close()
         self._tear(journal.current_segment_path, 3)
         records, torn = replay_records(tmp_path, metrics=registry)
-        assert records == [{"i": 0}]
+        assert list(records) == [{"i": 0}]
         assert torn == 1
         entry = registry.snapshot()["metrics"]["dice_journal_torn_records_total"]
         assert sum(row["value"] for row in entry["series"]) == 1

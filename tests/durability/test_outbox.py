@@ -6,6 +6,7 @@ flaky sinks, retry exhaustion, duplicate offers and process restarts.
 """
 
 import json
+import os
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.durability import (
     FlakySink,
     alert_record,
 )
+from repro.durability.outbox import ACKS_WAL, OUTBOX_WAL
 from repro.streaming import Alert
 from repro.telemetry import MetricsRegistry
 
@@ -188,3 +190,50 @@ class TestRestart:
         assert second.pending == []
         assert second.deliver_pending() == {"delivered": 0, "dead": 0}
         assert len(delivered) == 1
+
+    @staticmethod
+    def _tear(path, cut=3):
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) - cut)
+
+    def test_offer_after_a_torn_outbox_log_survives_the_next_restart(self, tmp_path):
+        # A crash tore the last outbox.wal frame.  The next life must cut
+        # the partial frame before journaling, or its own alerts land
+        # behind it, where no later restart can read them.
+        outbox_dir = tmp_path / "outbox"
+        delivered = []
+        first = AlertOutbox(outbox_dir, CallbackSink(delivered.append))
+        first.offer(_record(seq=1))
+        first.offer(_record(seq=2))
+        first.deliver_pending()
+        self._tear(outbox_dir / OUTBOX_WAL)
+
+        second = AlertOutbox(outbox_dir, CallbackSink(delivered.append))
+        late = _record(seq=3)
+        assert second.offer(late) is True
+
+        third = AlertOutbox(outbox_dir, CallbackSink(delivered.append))
+        assert [r["id"] for r in third.pending] == [late["id"]]
+        assert third.deliver_pending() == {"delivered": 1, "dead": 0}
+        assert delivered[-1]["id"] == late["id"]
+
+    def test_ack_after_a_torn_ack_log_survives_the_next_restart(self, tmp_path):
+        # The torn ack is redelivered once (at-least-once); its new ack
+        # must be readable, or every later restart redelivers it again.
+        outbox_dir = tmp_path / "outbox"
+        delivered = []
+        first = AlertOutbox(outbox_dir, CallbackSink(delivered.append))
+        kept, torn = _record(seq=1), _record(seq=2)
+        first.offer(kept)
+        first.offer(torn)
+        first.deliver_pending()
+        self._tear(outbox_dir / ACKS_WAL)
+
+        second = AlertOutbox(outbox_dir, CallbackSink(delivered.append))
+        assert [r["id"] for r in second.pending] == [torn["id"]]
+        assert second.deliver_pending() == {"delivered": 1, "dead": 0}
+
+        third = AlertOutbox(outbox_dir, CallbackSink(delivered.append))
+        assert third.pending == []
+        assert set(third.delivered_ids()) == {kept["id"], torn["id"]}
+        assert [r["id"] for r in delivered] == [kept["id"], torn["id"], torn["id"]]
