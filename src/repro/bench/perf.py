@@ -55,8 +55,11 @@ from ..model import DeviceRegistry, SensorType, binary_sensor
 #: ``backends`` per-backend streaming comparison section; /9 added the
 #: ``service`` loopback ingest-service overhead + overload section; /10
 #: dropped ``eval``, ``fleet``, ``journal``, ``scenarios``, ``backends``
-#: and ``service``, which perfbench and the test suite measure and hold.
-BENCH_SCHEMA = "dice-bench-perf/10"
+#: and ``service``, which perfbench and the test suite measure and hold;
+#: /11 dropped the scan rows' kernel-choice fields (``kernel``,
+#: ``kernel_calls``, the crossover and the forced-kernel timings): one
+#: Hamming kernel is left.
+BENCH_SCHEMA = "dice-bench-perf/11"
 DEFAULT_OUTPUT = "BENCH_perf.json"
 
 
@@ -203,46 +206,16 @@ def bench_scan(
     )
 
     # Batch + memoised: one (W, G) matrix pass over the cache misses.
-    def _kernel_delta(before: Dict[str, int]) -> Dict[str, int]:
-        calls = groups._bitsets.kernel_calls
-        return {name: calls[name] - before[name] for name in calls}
-
-    def _dominant(delta: Dict[str, int]) -> str:
-        if not any(delta.values()):
-            return "none"
-        return max(delta, key=lambda name: delta[name])
-
     def _batch_cold():
         checker = CorrelationChecker(groups, config)
         return checker, checker.check_many(probes)
 
-    before = dict(groups._bitsets.kernel_calls)
     batch_cold_s, (batch, batch_results) = _best_of(repeats, _batch_cold)
-    cold_calls = _kernel_delta(before)
     cold_info = batch.cache_info()  # counters from the first cold pass only
-    before = dict(groups._bitsets.kernel_calls)
     batch_warm_s, _ = _best_of(repeats, lambda: batch.check_many(probes))
-    warm_calls = _kernel_delta(before)
 
     if not (scalar_results == memo_results == batch_results):
         raise AssertionError("scalar, memoised and batch paths disagree")
-
-    # The registry's kernel crossover, both ways: force the GEMM kernel and
-    # the XOR+popcount kernel for the same cold batch pass.  Results must
-    # not move — the kernel choice is a pure performance decision.
-    default_min_rows = groups.gemm_min_rows
-    forced_kernel_s: Dict[str, float] = {}
-    try:
-        for label, min_rows in (("gemm", 0), ("xor", 1 << 30)):
-            groups.gemm_min_rows = min_rows
-            seconds, (_, forced_results) = _best_of(repeats, _batch_cold)
-            if forced_results != batch_results:
-                raise AssertionError(
-                    f"forced {label} kernel changed correlation results"
-                )
-            forced_kernel_s[label] = seconds
-    finally:
-        groups.gemm_min_rows = default_min_rows
 
     def _speedup(base: float, new: float) -> float:
         return base / new if new > 0 else float("inf")
@@ -258,10 +231,6 @@ def bench_scan(
         "batch_warm_s": batch_warm_s,
         "cache_hits": cold_info["hits"],
         "cache_misses": cold_info["misses"],
-        "gemm_min_rows": int(default_min_rows),
-        "kernel": _dominant(cold_calls),
-        "kernel_calls": {"batch_cold": cold_calls, "batch_warm": warm_calls},
-        "forced_kernel_s": forced_kernel_s,
         "per_window_us": {
             "scalar": 1e6 * scalar_s / n_windows,
             "memoized_warm": 1e6 * memo_warm_s / n_windows,
@@ -772,39 +741,6 @@ def validate_document(doc: Dict) -> Dict:
             _require(
                 isinstance(row.get(key), int) and row[key] >= 0,
                 f"scan[].{key} must be a non-negative int",
-            )
-        _require(
-            row.get("kernel") in ("gemm", "xor", "none"),
-            "scan[].kernel must be one of gemm/xor/none",
-        )
-        _require(
-            isinstance(row.get("gemm_min_rows"), int)
-            and row["gemm_min_rows"] >= 0,
-            "scan[].gemm_min_rows must be a non-negative int",
-        )
-        calls = row.get("kernel_calls")
-        _require(
-            isinstance(calls, dict)
-            and set(calls) == {"batch_cold", "batch_warm"},
-            "scan[].kernel_calls must map batch_cold/batch_warm",
-        )
-        for pass_name, delta in calls.items():
-            _require(
-                isinstance(delta, dict)
-                and all(
-                    isinstance(n, int) and n >= 0 for n in delta.values()
-                ),
-                f"scan[].kernel_calls.{pass_name} must count kernel calls",
-            )
-        forced = row.get("forced_kernel_s")
-        _require(
-            isinstance(forced, dict) and set(forced) == {"gemm", "xor"},
-            "scan[].forced_kernel_s must time both forced kernels",
-        )
-        for name, seconds in forced.items():
-            _require(
-                isinstance(seconds, (int, float)) and seconds >= 0,
-                f"scan[].forced_kernel_s.{name} must be a non-negative number",
             )
 
     segment = doc.get("segment")

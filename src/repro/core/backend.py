@@ -65,8 +65,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from .. import telemetry
 from ..model import DeviceRegistry, Trace
 from .checks import CorrelationResult, TransitionCase
@@ -519,29 +517,16 @@ class DiceBackend(DetectorBackend):
     def _check_correlation(self, mask: int, qbits: int) -> CorrelationResult:
         """The correlation check, quarantine-aware.
 
-        With no quarantine active this is the fast memoised/vectorised
-        path; while devices are quarantined, Hamming distances are
-        computed over the remaining (visible) bits only — still one
-        vectorised XOR+AND+popcount pass via ``masked_distances`` — so a
-        dead sensor's permanently-zero bits cannot turn every window into
-        a correlation violation.  Masked results bypass the memo: they
-        depend on the quarantine set, not just the mask.
+        With no quarantine active this is the memoised check; while devices
+        are quarantined, Hamming distances count the remaining (visible)
+        bits only, so a dead sensor's permanently-zero bits cannot turn
+        every window into a correlation violation.  Masked results bypass
+        the memo: they depend on the quarantine set, not just the mask.
         """
         checker = self.dice_detector._correlation_checker
         if qbits == 0:
             return checker.check(mask)
-        visible = ~qbits
-        dists = checker.groups.masked_distances(mask, visible)
-        main: Optional[int] = None
-        probable: List[Tuple[int, int]] = []
-        zero = np.nonzero(dists == 0)[0]
-        if len(zero):
-            main = int(zero[0])
-        near = np.nonzero((dists > 0) & (dists <= checker.max_distance))[0]
-        order = np.lexsort((near, dists[near]))
-        for g in near[order]:
-            probable.append((int(g), int(dists[g])))
-        return CorrelationResult(mask & visible, main, tuple(probable))
+        return checker.scan(mask, ~qbits)
 
     def check(self, snapshot, qbits: int = 0) -> WindowVerdict:
         detector = self.dice_detector

@@ -4,7 +4,11 @@ The **correlation check** matches each incoming sensor state set against the
 training groups: an exact match is the *main group*; near matches (within a
 Hamming bound derived from the assumed fault count) are *probable groups*.
 No main group ⇒ a correlation violation — a sensor combination never seen in
-training.
+training.  Every path that checks correlation — the memoised check, the
+batch ``check_many``, the gateway's ``warm``, the quarantine-masked scan and
+identification's widened ``nearest`` search — takes its distances from the
+one Hamming kernel (``GroupRegistry.distances_many``) and its main and
+probable groups from the one :func:`candidate_rule`.
 
 The **transition check** runs only when a main group exists, because
 non-fail-stop faults (notably stuck-at) often preserve the correlation
@@ -103,6 +107,44 @@ def violation_evidence(
     }
 
 
+def candidate_rule(
+    masks: Sequence[int],
+    dist: np.ndarray,
+    bound: int,
+    visible: Optional[int] = None,
+) -> List[CorrelationResult]:
+    """The §3.3.1 candidate rule: turn each row of a ``(W, G)`` distance
+    matrix into its window's main group and probable groups.
+
+    The main group is the lowest group id at distance 0.  Unmasked, at
+    most one group sits there; under a *visible* mask several may tie, and
+    the others are then neither main nor probable.  The probable groups are
+    those at ``0 < d <= bound``, ordered by (distance, group id).  A window
+    with no group at distance 0 is a correlation violation.
+    """
+    flat = dist.ravel()
+    hit = (flat <= bound).nonzero()[0]
+    width = dist.shape[1]
+    hits: List[List[Tuple[int, int]]] = [[] for _ in masks]
+    for index, distance in zip(hit.tolist(), flat[hit].tolist()):
+        row, group = divmod(index, width)
+        hits[row].append((distance, group))
+    results: List[CorrelationResult] = []
+    for mask, near in zip(masks, hits):
+        near.sort()
+        main: Optional[int] = None
+        probable: List[Tuple[int, int]] = []
+        for distance, group in near:
+            if distance:
+                probable.append((group, distance))
+            elif main is None:
+                main = group
+        if visible is not None:
+            mask &= visible
+        results.append(CorrelationResult(mask, main, tuple(probable)))
+    return results
+
+
 class CorrelationChecker:
     """§3.3.1 — main/probable group search over the group registry.
 
@@ -168,17 +210,11 @@ class CorrelationChecker:
 
     # -- scalar path ----------------------------------------------------- #
 
-    def scan(self, mask: int) -> CorrelationResult:
-        """Uncached single-mask scan (the pre-memoisation seed path)."""
-        candidates = self.groups.candidates(mask, self.max_distance)
-        main: Optional[int] = None
-        probable: List[Tuple[int, int]] = []
-        for group_id, distance in candidates:
-            if distance == 0 and main is None:
-                main = group_id
-            else:
-                probable.append((group_id, distance))
-        return CorrelationResult(mask, main, tuple(probable))
+    def scan(self, mask: int, visible: Optional[int] = None) -> CorrelationResult:
+        """Uncached single-mask scan, over the *visible* bits only when
+        given (the quarantine-masked check, whose result depends on the
+        quarantine set and so never enters the memo)."""
+        return self._scan_many([mask], visible)[0]
 
     def check(self, mask: int) -> CorrelationResult:
         if not self._cache_size:
@@ -245,8 +281,8 @@ class CorrelationChecker:
         The cross-home batched tick stacks the pending windows of every
         home sharing this checker into one ``(W, G)`` matrix pass, then
         each home's in-order drain consults the memo as usual.  Because
-        the memo is a pure cache, warming changes *which kernel* resolves
-        a mask, never the result — per-home alerts are byte-identical to
+        the memo is a pure cache, warming changes *which pass* resolves a
+        mask, never the result — per-home alerts are byte-identical to
         the unwarmed path.  Returns the number of masks actually scanned.
         """
         if not self._cache_size:
@@ -271,48 +307,30 @@ class CorrelationChecker:
             self.cache_evictions += 1
         return len(fresh)
 
-    def _scan_many(self, masks: List[int]) -> List[CorrelationResult]:
-        """One (W, G) matrix pass; per-row candidate extraction mirrors
-        :meth:`PackedBitsets.within` (distance order, ties by group id)."""
-        if len(self.groups) == 0:
-            return [CorrelationResult(mask, None, ()) for mask in masks]
-        dist = self.groups.distances_many(masks)
-        rows, cols = np.nonzero(dist <= self.max_distance)
-        ds = dist[rows, cols]
-        order = np.lexsort((cols, ds, rows))
-        rows = rows[order]
-        bounds = np.searchsorted(rows, np.arange(len(masks) + 1)).tolist()
-        cols = cols[order].tolist()
-        ds = ds[order].tolist()
-        results: List[CorrelationResult] = []
-        for i, mask in enumerate(masks):
-            lo, hi = bounds[i], bounds[i + 1]
-            if lo == hi:
-                # No group within the bound: a correlation violation.
-                results.append(CorrelationResult(mask, None, ()))
-                continue
-            main: Optional[int] = None
-            probable: List[Tuple[int, int]] = []
-            for k in range(lo, hi):
-                if ds[k] == 0 and main is None:
-                    main = cols[k]
-                else:
-                    probable.append((cols[k], ds[k]))
-            results.append(CorrelationResult(mask, main, tuple(probable)))
-        return results
+    def _scan_many(
+        self, masks: List[int], visible: Optional[int] = None
+    ) -> List[CorrelationResult]:
+        """One ``(W, G)`` distance pass, then the candidate rule per row."""
+        dist = self.groups.distances_many(masks, visible)
+        return candidate_rule(masks, dist, self.max_distance, visible)
 
     def nearest(self, mask: int, limit_distance: int) -> Tuple[Tuple[int, int], ...]:
-        """Groups at the smallest non-zero distance ≤ *limit_distance*.
+        """Candidates of a widened bound, for identification when no
+        candidate lies within the standard one.
 
-        Fallback for identification when no candidate lies within the
-        standard bound: widen the search until some group is comparable.
+        The bound widens from ``max_distance + 1`` until some group at a
+        non-zero distance falls inside it, or past *limit_distance*; the
+        result is every group within that bound (zero distance excluded),
+        nearest first.  One distance row answers every widening step.
         """
-        for distance in range(self.max_distance + 1, limit_distance + 1):
-            candidates = self.groups.candidates(mask, distance)
-            hits = tuple((g, d) for g, d in candidates if d > 0)
-            if hits:
-                return hits
-        return ()
+        dist = self.groups.distances_many([mask])
+        apart = dist[dist > 0]
+        if not apart.size:
+            return ()
+        bound = max(self.max_distance + 1, int(apart.min()))
+        if bound > limit_distance:
+            return ()
+        return candidate_rule([mask], dist, bound)[0].probable_groups
 
 
 class TransitionChecker:

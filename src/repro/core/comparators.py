@@ -67,14 +67,11 @@ class MarkovOnlyBackend(DiceBackend):
 
     def _check_correlation(self, mask: int, qbits: int) -> CorrelationResult:
         groups = self.dice_detector.model.groups
-        if qbits:
-            visible = ~qbits
-            nearest = int(np.argmin(groups.masked_distances(mask, visible)))
-            return CorrelationResult(mask & visible, nearest, ())
-        nearest = groups.lookup(mask)
+        nearest = None if qbits else groups.lookup(mask)
         if nearest is None:
-            nearest = groups.candidates(mask, groups.layout.num_bits)[0][0]
-        return CorrelationResult(mask, nearest, ())
+            # Lowest group id at the smallest visible distance.
+            nearest = int(np.argmin(groups.distances_many([mask], ~qbits)[0]))
+        return CorrelationResult(mask & ~qbits, nearest, ())
 
 
 #: What a window that raised nothing produces.

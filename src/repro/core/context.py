@@ -151,8 +151,6 @@ def trained_context_nbytes(detector: DiceDetector) -> int:
     total = bitsets._buf.nbytes
     total += sys.getsizeof(bitsets._masks)
     total += sum(sys.getsizeof(m) for m in bitsets._masks)
-    if bitsets._planes is not None:
-        total += bitsets._planes[1].nbytes + bitsets._planes[2].nbytes
     total += sys.getsizeof(groups._by_mask)
     total += sys.getsizeof(groups._counts)
     for matrix in (model.transitions.g2g, model.transitions.g2a,

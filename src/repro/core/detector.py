@@ -247,7 +247,7 @@ class DiceDetector:
         #: Content hash stamped at interning; cleared on fork.
         self._interned_hash: Optional[str] = None
         #: Baselines for the delta-published telemetry counters.
-        self._telemetry_last = {"evictions": 0, "gemm": 0, "xor": 0}
+        self._telemetry_last = {"evictions": 0, "xor": 0}
 
     # ------------------------------------------------------------------ #
     # Precomputation phase
@@ -309,7 +309,7 @@ class DiceDetector:
         )
         self._shared = None
         self._interned_hash = None
-        self._telemetry_last = {"evictions": 0, "gemm": 0, "xor": 0}
+        self._telemetry_last = {"evictions": 0, "xor": 0}
 
     # ------------------------------------------------------------------ #
     # Shared contexts (copy-on-write)
@@ -333,7 +333,7 @@ class DiceDetector:
         self._identifier = shared.identifier
         self._shared = shared
         self._interned_hash = shared.hash
-        self._telemetry_last = {"evictions": 0, "gemm": 0, "xor": 0}
+        self._telemetry_last = {"evictions": 0, "xor": 0}
         shared.holders += 1
 
     def fork_context(self) -> bool:
@@ -359,7 +359,7 @@ class DiceDetector:
         return True
 
     def _register_telemetry(self) -> None:
-        """Expose memo occupancy/evictions and kernel choices as metrics.
+        """Expose memo occupancy/evictions and scan passes as metrics.
 
         The hot paths keep plain-int counters (zero overhead); a snapshot
         collector publishes their deltas, so the registry only pays at
@@ -381,7 +381,7 @@ class DiceDetector:
         )
         kernels = metrics.counter(
             "dice_bitset_kernel_calls_total",
-            "distances_many kernel selections (float32 GEMM vs per-word XOR)",
+            "Hamming scan passes (XOR + popcount over the group rows)",
             labelnames=("kernel",),
         )
         groups_gauge = metrics.gauge(
@@ -408,10 +408,9 @@ class DiceDetector:
             last = self._telemetry_last
             evictions.inc(checker.cache_evictions - last["evictions"])
             last["evictions"] = checker.cache_evictions
-            counts = groups.kernel_call_counts()
-            for kernel in ("gemm", "xor"):
-                kernels.labels(kernel=kernel).inc(counts[kernel] - last[kernel])
-                last[kernel] = counts[kernel]
+            passes = groups.kernel_call_counts()["xor"]
+            kernels.labels(kernel="xor").inc(passes - last["xor"])
+            last["xor"] = passes
 
         metrics.register_collector("detector", collect)
 

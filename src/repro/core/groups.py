@@ -6,16 +6,17 @@ queries the real-time phase needs:
 
 * exact lookup — does an incoming state set match a known group (the
   *main group*)?
-* neighbourhood scan — which groups lie within a Hamming-distance bound of
-  the incoming set (the *candidate/probable groups*)?
+* neighbourhood scan — the Hamming distance from the incoming set to every
+  group, from which the *candidate/probable groups* are drawn.
 
-The scan is the dominant real-time cost (Fig. 5.3) and is vectorised via
-:class:`~repro.core.bitset.PackedBitsets`.
+The scan is the dominant real-time cost (Fig. 5.3); it is one vectorised
+pass of :meth:`~repro.core.bitset.PackedBitsets.distances_many`, and
+:class:`~repro.core.checks.CorrelationChecker` applies the candidate rule.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,37 +128,18 @@ class GroupRegistry:
     def masks(self) -> List[int]:
         return self._bitsets.masks
 
-    def candidates(self, mask: int, max_distance: int) -> List[Tuple[int, int]]:
-        """Groups within *max_distance* of *mask* as ``(group_id, distance)``
-        pairs, nearest first (§3.3.1)."""
-        ids, dists = self._bitsets.within(mask, max_distance)
-        return [(int(g), int(d)) for g, d in zip(ids, dists)]
-
     def distances_many(
-        self, masks: Union[Sequence[int], np.ndarray]
+        self, masks: Sequence[int], visible: Optional[int] = None
     ) -> np.ndarray:
-        """Hamming distances from every probe mask to every group: ``(W, G)``.
-
-        One XOR + popcount matrix pass — the batch form of the per-window
-        neighbourhood scan."""
-        return self._bitsets.distances_many(masks)
-
-    def masked_distances(self, mask: int, visible: Optional[int]) -> np.ndarray:
-        """Distances from *mask* to every group over *visible* bits only."""
-        return self._bitsets.masked_distances(mask, visible)
+        """Hamming distances from every probe mask to every group: ``(W, G)``,
+        over the *visible* bits only when given (§3.3.1 neighbourhood scan;
+        :class:`~repro.core.checks.CorrelationChecker` turns them into the
+        main and probable groups)."""
+        return self._bitsets.distances_many(masks, visible)
 
     def kernel_call_counts(self) -> Dict[str, int]:
-        """How often each ``distances_many`` kernel ran (``gemm``/``xor``)."""
-        return dict(self._bitsets.kernel_calls)
-
-    @property
-    def gemm_min_rows(self) -> int:
-        """Batch height at which ``distances_many`` switches to GEMM."""
-        return self._bitsets.gemm_min_rows
-
-    @gemm_min_rows.setter
-    def gemm_min_rows(self, value: int) -> None:
-        self._bitsets.gemm_min_rows = int(value)
+        """Scan passes so far, under the kernel's name (``xor``)."""
+        return {"xor": self._bitsets.scan_passes}
 
     # ------------------------------------------------------------------ #
     # Statistics

@@ -73,25 +73,19 @@ class TestPackedBitsets:
     def test_append_and_distances(self):
         bits = PackedBitsets(8)
         bits.extend([0b0001, 0b0011, 0b1111])
-        dists = bits.distances(0b0001)
+        dists = bits.distances_many([0b0001])[0]
         assert list(dists) == [0, 1, 3]
-
-    def test_within_sorted_by_distance(self):
-        bits = PackedBitsets(8, [0b1111, 0b0001, 0b0011])
-        ids, dists = bits.within(0b0001, 1)
-        assert list(ids) == [1, 2]
-        assert list(dists) == [0, 1]
 
     def test_wide_masks(self):
         wide = (1 << 150) | 1
         bits = PackedBitsets(160, [wide])
-        assert bits.distances(wide)[0] == 0
-        assert bits.distances(1)[0] == 1
+        assert bits.distances_many([wide])[0, 0] == 0
+        assert bits.distances_many([1])[0, 0] == 1
         assert bits.masks == [wide]
 
     def test_empty_distances(self):
         bits = PackedBitsets(8)
-        assert len(bits.distances(0)) == 0
+        assert bits.distances_many([0]).shape == (1, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,7 +93,7 @@ class TestPackedBitsets:
 def test_packed_distances_match_reference(pool, probe):
     bits = PackedBitsets(200, pool)
     expected = [hamming(probe, m) for m in pool]
-    assert list(bits.distances(probe)) == expected
+    assert list(bits.distances_many([probe])[0]) == expected
 
 
 class TestAmortizedGrowth:
@@ -116,7 +110,7 @@ class TestAmortizedGrowth:
         # would have done 1000.
         assert reallocations <= 8
         assert bits.masks == list(range(1000))
-        assert list(bits.distances(0)) == [popcount(m) for m in range(1000)]
+        assert list(bits.distances_many([0])[0]) == [popcount(m) for m in range(1000)]
 
     def test_rows_view_tracks_length(self):
         bits = PackedBitsets(8)
@@ -133,7 +127,7 @@ class TestAmortizedGrowth:
         bits.extend([1, 3])
         bits.append(wide | 1)
         assert bits.masks == [wide, 1, 3, wide | 1]
-        assert list(bits.distances(wide)) == [0, 2, 3, 1]
+        assert list(bits.distances_many([wide])[0]) == [0, 2, 3, 1]
 
 
 class TestDistancesMany:
@@ -144,11 +138,11 @@ class TestDistancesMany:
         many = bits.distances_many(probes)
         assert many.shape == (4, 4)
         for i, probe in enumerate(probes):
-            assert list(many[i]) == list(bits.distances(probe))
+            assert list(many[i]) == list(bits.distances_many([probe])[0])
 
-    def test_gemm_path_matches_reference(self):
-        # ≥ 64 probes takes the float32 bit-plane GEMM branch; the result
-        # must still be the exact integer Hamming distance.
+    def test_tall_batch_matches_reference(self):
+        # A tall batch of wide probes must give the exact integer Hamming
+        # distance, the same as the one-probe path.
         rng = np.random.default_rng(5)
         num_bits = 150
         pool = [int(rng.integers(0, 1 << 63)) | (1 << 149) for _ in range(90)]
@@ -158,21 +152,14 @@ class TestDistancesMany:
         for i, probe in enumerate(probes):
             assert list(many[i]) == [hamming(probe, m) for m in pool]
 
-    def test_plane_cache_invalidates_on_growth(self):
+    def test_distances_track_growth(self):
         bits = PackedBitsets(8, [0b01, 0b10])
-        probes = [0] * 70  # force the GEMM branch, populating the cache
+        probes = [0] * 70
         assert bits.distances_many(probes).shape == (70, 2)
         bits.append(0b11)
         many = bits.distances_many(probes)
         assert many.shape == (70, 3)
         assert list(many[0]) == [1, 1, 2]
-
-    def test_accepts_packed_matrix(self):
-        bits = PackedBitsets(8, [0b01, 0b111])
-        packed = bits.pack_many([0b01, 0b10])
-        many = bits.distances_many(packed)
-        assert list(many[0]) == [0, 2]
-        assert list(many[1]) == [2, 2]
 
     def test_empty_cases(self):
         bits = PackedBitsets(8, [1, 2])
@@ -197,26 +184,25 @@ class TestMaskedDistances:
         bits = PackedBitsets(8, [0b1100, 0b0011])
         # Only the low two bits are visible: 0b1100 vs probe 0b0001 differs
         # in bit 0 alone once the high bits are hidden.
-        assert list(bits.masked_distances(0b0001, visible=0b0011)) == [1, 1]
+        assert list(bits.distances_many([0b0001], visible=0b0011)[0]) == [1, 1]
 
     def test_none_visible_equals_distances(self):
         bits = PackedBitsets(8, [0b1100, 0b0011])
-        assert list(bits.masked_distances(0b0001, None)) == list(
-            bits.distances(0b0001)
-        )
+        unmasked = list(bits.distances_many([0b0001])[0])
+        assert list(bits.distances_many([0b0001], None)[0]) == unmasked
+        assert list(bits.distances_many([0b0001], visible=~0)[0]) == unmasked
 
     def test_wide_visible_mask(self):
         wide = (1 << 150) | 0b1
         bits = PackedBitsets(160, [wide])
-        assert bits.masked_distances(0b1, visible=(1 << 150) - 1)[0] == 0
-        assert bits.masked_distances(0b1, visible=wide)[0] == 1
+        assert bits.distances_many([0b1], visible=(1 << 150) - 1)[0, 0] == 0
+        assert bits.distances_many([0b1], visible=wide)[0, 0] == 1
 
-    def test_pickle_roundtrip_drops_plane_cache(self):
+    def test_pickle_roundtrip(self):
         import pickle
 
         bits = PackedBitsets(8, [1, 2, 3])
-        bits.distances_many([0] * 70)  # populate the GEMM plane cache
+        bits.distances_many([0] * 70)
         clone = pickle.loads(pickle.dumps(bits))
-        assert clone._planes is None
         assert clone.masks == bits.masks
-        assert list(clone.distances(1)) == list(bits.distances(1))
+        assert list(clone.distances_many([1])[0]) == list(bits.distances_many([1])[0])

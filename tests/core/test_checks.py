@@ -5,12 +5,16 @@ import random
 from repro.core import (
     BitLayout,
     CorrelationChecker,
+    DiceBackend,
     DiceConfig,
+    DiceDetector,
     GroupRegistry,
+    StateSetEncoder,
     TransitionCase,
     TransitionChecker,
     TransitionModel,
 )
+from repro.core.encoding import WindowedTrace
 from repro.model import DeviceRegistry, SensorType, binary_sensor
 
 
@@ -57,6 +61,34 @@ class TestCorrelationChecker:
         checker = CorrelationChecker(groups, DiceConfig(max_candidate_distance=1))
         hits = checker.nearest(0, limit_distance=5)
         assert hits and hits[0][1] == 5
+
+
+class TestQuarantineTieRule:
+    def test_lowest_id_is_main_when_visible_bits_tie(self, registry):
+        # Groups 0 and 1 differ only in the bedroom motion bit.  With that
+        # device quarantined both sit at distance 0 from a window equal to
+        # group 1: the lower id is the main group, and group 1 is neither
+        # main nor probable.
+        layout = BitLayout(registry)
+        kitchen = 1 << layout.bits_of_device("motion_kitchen")[0]
+        bedroom = 1 << layout.bits_of_device("motion_bedroom")[0]
+        masks = [kitchen, kitchen | bedroom] * 3
+        detector = DiceDetector(registry).fit_windows(
+            StateSetEncoder(registry),
+            WindowedTrace(layout, 60.0, 0.0, masks, [frozenset()] * len(masks)),
+        )
+        groups = detector.model.groups
+        assert groups.lookup(kitchen) == 0 and groups.lookup(kitchen | bedroom) == 1
+        mask, qbits = kitchen | bedroom, bedroom
+        visible = ~qbits
+        assert detector._correlation_checker.check(mask).main_group == 1
+        for result in (
+            detector._correlation_checker.scan(mask, visible),
+            DiceBackend(detector)._check_correlation(mask, qbits),
+        ):
+            assert result.main_group == 0
+            assert 1 not in [g for g, _ in result.probable_groups]
+            assert result.mask == mask & visible
 
 
 def _candidates(result):

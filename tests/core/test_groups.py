@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BitLayout, GroupRegistry, StateSetEncoder
+from repro.core import (
+    BitLayout,
+    CorrelationChecker,
+    DiceConfig,
+    GroupRegistry,
+    StateSetEncoder,
+)
 
 
 def make_registry(registry):
@@ -33,19 +39,28 @@ class TestInterning:
         assert 0b11 in groups
 
 
+def candidates(groups, mask, bound):
+    """Main group then probable groups, as ``(group_id, distance)`` pairs."""
+    result = CorrelationChecker(
+        groups, DiceConfig(max_candidate_distance=bound)
+    ).scan(mask)
+    main = [] if result.main_group is None else [(result.main_group, 0)]
+    return main + list(result.probable_groups)
+
+
 class TestCandidates:
     def test_candidates_sorted_nearest_first(self, registry):
         groups = make_registry(registry)
         groups.add(0b0001)
         groups.add(0b0011)
         groups.add(0b1111)
-        hits = groups.candidates(0b0001, 2)
+        hits = candidates(groups, 0b0001, 2)
         assert [d for _, d in hits] == [0, 1]
 
     def test_candidates_respects_bound(self, registry):
         groups = make_registry(registry)
         groups.add(0b11111)
-        assert groups.candidates(0, 2) == []
+        assert candidates(groups, 0, 2) == []
 
 
 class TestCorrelationDegree:

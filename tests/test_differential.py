@@ -17,9 +17,9 @@ platforms and numpy versions):
   weights and twenty under the multi-fault configuration (numThre 3).
 
 * **packed vs scalar Hamming** — :meth:`PackedBitsets.distances_many`
-  (both its XOR-popcount and GEMM bit-plane kernels) must agree with the
-  obvious ``(a ^ b).bit_count()`` oracle for every bit width straddling
-  the 64-bit word boundaries.
+  (one probe or many, over every bit or only a visibility mask) must agree
+  with the obvious ``((a ^ b) & visible).bit_count()`` oracle for every bit
+  width straddling the 64-bit word boundaries.
 
 The detector core has no independent twin for absolute time or for
 device order, so two metamorphic relations cover them: shifting a
@@ -36,7 +36,7 @@ import numpy as np
 import pytest
 
 from repro.core import DEFAULT_CONFIG, DeviceWeights, DiceConfig, DiceDetector
-from repro.core.bitset import _GEMM_MIN_ROWS, PackedBitsets
+from repro.core.bitset import PackedBitsets
 from repro.datasets import load_dataset
 from repro.faults.segments import make_segment_pairs
 from repro.model import (
@@ -250,35 +250,37 @@ def _random_masks(rng, num_bits, count):
 @pytest.mark.parametrize("num_bits", [1, 7, 64, 65, 130])
 def test_distances_many_matches_scalar_hamming(num_bits):
     # Widths straddle the packing boundaries: sub-word, exactly one word,
-    # one word + 1 bit, two words + 2 bits.
+    # one word + 1 bit, two words + 2 bits.  Visibility masks come as the
+    # runtime passes them (``~quarantined_bits``, negative) and as plain
+    # non-negative masks; ``None`` counts every bit.
     rng = random.Random(SEED + num_bits)
     for n_rows in [1, 5, 40]:
         rows = _random_masks(rng, num_bits, n_rows)
         packed = PackedBitsets(num_bits, rows)
-        for n_probes in [1, 3, _GEMM_MIN_ROWS + 16]:
+        for n_probes in [1, 3, 80]:
             probes = _random_masks(rng, num_bits, n_probes)
-            got = packed.distances_many(probes)
-            assert got.shape == (n_probes, n_rows)
-            for i, probe in enumerate(probes):
-                for j, row in enumerate(rows):
-                    assert got[i, j] == bin(probe ^ row).count("1"), (
-                        f"bits={num_bits} probe#{i} row#{j}"
-                    )
-        # Single-probe path shares the oracle.
-        probe = rng.getrandbits(num_bits)
-        single = packed.distances(probe)
-        assert [int(d) for d in single] == [
-            bin(probe ^ row).count("1") for row in rows
-        ]
+            for visible in (
+                None,
+                ~rng.getrandbits(num_bits),
+                rng.getrandbits(num_bits),
+            ):
+                got = packed.distances_many(probes, visible)
+                assert got.shape == (n_probes, n_rows)
+                keep = -1 if visible is None else visible
+                for i, probe in enumerate(probes):
+                    for j, row in enumerate(rows):
+                        assert got[i, j] == bin((probe ^ row) & keep).count("1"), (
+                            f"bits={num_bits} probe#{i} row#{j} visible={visible}"
+                        )
 
 
-def test_distances_many_exercises_both_kernels():
+def test_distances_many_counts_scan_passes():
     rng = random.Random(SEED)
     packed = PackedBitsets(130, _random_masks(rng, 130, 8))
     packed.distances_many(_random_masks(rng, 130, 3))
-    assert packed.kernel_calls == {"gemm": 0, "xor": 1}
-    packed.distances_many(_random_masks(rng, 130, _GEMM_MIN_ROWS))
-    assert packed.kernel_calls == {"gemm": 1, "xor": 1}
+    packed.distances_many(_random_masks(rng, 130, 1), visible=~1)
+    packed.distances_many(_random_masks(rng, 130, 64))
+    assert packed.scan_passes == 3
 
 
 def test_distances_many_degenerate_shapes():
@@ -286,9 +288,9 @@ def test_distances_many_degenerate_shapes():
     assert packed.distances_many([]).shape == (0, 2)
     empty = PackedBitsets(16)
     assert empty.distances_many([1, 2]).shape == (2, 0)
-    # Degenerate calls return early without picking a kernel.
-    assert packed.kernel_calls == {"gemm": 0, "xor": 0}
-    assert empty.kernel_calls == {"gemm": 0, "xor": 0}
+    # Degenerate calls return early without counting a scan pass.
+    assert packed.scan_passes == 0
+    assert empty.scan_passes == 0
 
 
 # ---------------------------------------------------------------------------
