@@ -11,9 +11,9 @@ regress against:
 * **scan** — the per-window correlation check over ``G`` groups ×
   ``W`` windows, four ways: uncached scalar (the seed path), memoised
   scalar cold/warm, and the batched ``check_many`` matrix pass;
-* **telemetry** — the batched segment pipeline with a live metrics
-  registry vs the disabled ``NULL_REGISTRY`` twin, so the instrumentation
-  cost stays visible (budget: ≤ 5 % overhead);
+* **telemetry** — the streamed per-window segment path with a live
+  metrics registry vs the disabled ``NULL_REGISTRY`` twin, so the stage
+  clock's cost stays visible (budget: ≤ 5 % overhead);
 * **provenance** — the alert-evidence recorder's hot-path cost: the same
   live stream with ``NULL_PROVENANCE`` vs the default recorder (budget:
   ≤ 1.1x events/s — evidence capture must be nearly free because it only
@@ -58,8 +58,9 @@ from ..model import DeviceRegistry, SensorType, binary_sensor
 #: and ``service``, which perfbench and the test suite measure and hold;
 #: /11 dropped the scan rows' kernel-choice fields (``kernel``,
 #: ``kernel_calls``, the crossover and the forced-kernel timings): one
-#: Hamming kernel is left.
-BENCH_SCHEMA = "dice-bench-perf/11"
+#: Hamming kernel is left; /12 times ``telemetry`` on the streamed path
+#: (``stream_segment``), the only path that writes to the registry.
+BENCH_SCHEMA = "dice-bench-perf/12"
 DEFAULT_OUTPUT = "BENCH_perf.json"
 
 
@@ -300,9 +301,13 @@ def bench_detector_segment(
 def bench_telemetry(
     n_groups: int, n_windows: int, num_bits: int, seed: int, repeats: int = 5
 ) -> Dict:
-    """Instrumentation overhead: the batched segment pipeline with a live
+    """Instrumentation overhead: the streamed segment path
+    (``DiceBackend.stream_segment``, which observes the per-window
+    ``dice_stage_seconds`` children) with a live
     :class:`~repro.telemetry.MetricsRegistry` vs the disabled
-    ``NULL_REGISTRY`` twin.  The acceptance budget is ≤ 5 % overhead.
+    ``NULL_REGISTRY`` twin.  The batch path writes nothing to the registry,
+    so it has no instrumentation to time.  The acceptance budget is ≤ 5 %
+    overhead.
 
     Enabled and disabled runs are *interleaved* (off, on, off, on, ...) so
     slow drift in machine load — thermal throttling, a background task
@@ -316,30 +321,25 @@ def bench_telemetry(
     )
 
     def _timed(detector, segment):
-        # publish=True is the production configuration: timings land in
-        # the registry once per segment, inside the measured region.
         detector._correlation_checker.clear_cache()
         t0 = time.perf_counter()
-        report = detector.process_windows(segment)
-        return time.perf_counter() - t0, report
+        alerts = DiceBackend(detector).stream_segment(segment)
+        return time.perf_counter() - t0, alerts
 
     enabled_s = disabled_s = float("inf")
-    enabled_report = disabled_report = None
+    enabled_alerts = disabled_alerts = None
     for i in range(repeats):
-        seconds, report = _timed(disabled, seg_off)
+        seconds, alerts = _timed(disabled, seg_off)
         disabled_s = min(disabled_s, seconds)
         if i == 0:
-            disabled_report = report
-        seconds, report = _timed(enabled, seg_on)
+            disabled_alerts = alerts
+        seconds, alerts = _timed(enabled, seg_on)
         enabled_s = min(enabled_s, seconds)
         if i == 0:
-            enabled_report = report
+            enabled_alerts = alerts
 
-    if (
-        enabled_report.detections != disabled_report.detections
-        or enabled_report.identifications != disabled_report.identifications
-    ):
-        raise AssertionError("telemetry changed the segment report")
+    if enabled_alerts != disabled_alerts:
+        raise AssertionError("telemetry changed the segment alerts")
     ratio = enabled_s / disabled_s if disabled_s > 0 else float("inf")
     return {
         "groups": int(n_groups),

@@ -198,7 +198,6 @@ class DetectorBackend:
         self.config = config
         self.weights = weights
         self.metrics = telemetry.resolve(metrics)
-        self.tracer = telemetry.Tracer(self.metrics)
         self._session: Optional[IdentificationSession] = None
         self._session_trigger: str = CORRELATION_CHECK
         stage_hist = self.metrics.histogram(
@@ -481,8 +480,6 @@ class DiceBackend(DetectorBackend):
             detector.weights,
             metrics=detector.metrics,
         )
-        # Share the detector's tracer so spans nest as before.
-        self.tracer = detector.tracer
         self.dice_detector = detector
         self._prev_group: Optional[int] = None
         self._anchor_group: Optional[int] = None
@@ -539,23 +536,21 @@ class DiceBackend(DetectorBackend):
                 False, payload=(_BLIND, (), self._prev_group, self._anchor_group)
             )
         observe = self._stage_obs
-        with self.tracer.trace("correlation"):
-            t0 = time.perf_counter()
-            corr = self._check_correlation(snapshot.mask, qbits)
-            observe["correlation"].observe(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        corr = self._check_correlation(snapshot.mask, qbits)
+        observe["correlation"].observe(time.perf_counter() - t0)
         violations: tuple = ()
         if not corr.is_violation and self.checks_transitions:
-            with self.tracer.trace("transition"):
-                t0 = time.perf_counter()
-                violations = tuple(
-                    detector._transition_checker.check(
-                        self._prev_group,
-                        corr.main_group,
-                        self._prev_acts,
-                        snapshot.actuator_activations,
-                    )
+            t0 = time.perf_counter()
+            violations = tuple(
+                detector._transition_checker.check(
+                    self._prev_group,
+                    corr.main_group,
+                    self._prev_acts,
+                    snapshot.actuator_activations,
                 )
-                observe["transition"].observe(time.perf_counter() - t0)
+            )
+            observe["transition"].observe(time.perf_counter() - t0)
         self._last_check = (corr, violations)
         # The verdict carries the groups identify uses: on the batch path
         # the streaming state has moved on by the time identify runs.
@@ -583,10 +578,9 @@ class DiceBackend(DetectorBackend):
         transition_check = self.dice_detector._transition_checker.check
         clock = time.perf_counter
         hits, misses = checker.cache_hits, checker.cache_misses
-        with self.tracer.trace("correlation"):
-            t0 = clock()
-            results = checker.check_many(windowed.masks)
-            timings.correlation_s += clock() - t0
+        t0 = clock()
+        results = checker.check_many(windowed.masks)
+        timings.correlation_s += clock() - t0
         timings.correlation_cache_hits += checker.cache_hits - hits
         timings.correlation_cache_misses += checker.cache_misses - misses
         # The anchor is the last main group: identify prunes probable
@@ -791,35 +785,34 @@ class MarkovBackend(DetectorBackend):
 
     def check(self, snapshot, qbits: int = 0) -> WindowVerdict:
         self._require_fitted()
-        with self.tracer.trace("transition"):
-            t0 = time.perf_counter()
-            layout = self.encoder.layout
-            states: Dict[str, Optional[int]] = dict(
-                self._window_states(snapshot.mask, snapshot.actuator_activations)
-            )
-            if qbits:
-                # Quarantined sensors are unknowns: no violation can be
-                # charged to (or through) their masked bits.
-                for device in self._sensor_ids:
-                    if any(
-                        (qbits >> bit) & 1
-                        for bit in layout.bits_of_device(device)
-                    ):
-                        states[device] = None
-            min_row = self.config.min_row_observations
-            violating: List[str] = []
-            for device in self._device_order:
-                cur = states[device]
-                prev = self._prev_states.get(device)
-                if prev is None or cur is None:
-                    continue
-                chain = self._chains[device]
-                if (
-                    chain.row_total(prev) >= min_row
-                    and chain.count(prev, cur) == 0
+        t0 = time.perf_counter()
+        layout = self.encoder.layout
+        states: Dict[str, Optional[int]] = dict(
+            self._window_states(snapshot.mask, snapshot.actuator_activations)
+        )
+        if qbits:
+            # Quarantined sensors are unknowns: no violation can be
+            # charged to (or through) their masked bits.
+            for device in self._sensor_ids:
+                if any(
+                    (qbits >> bit) & 1
+                    for bit in layout.bits_of_device(device)
                 ):
-                    violating.append(device)
-            self._stage_obs["transition"].observe(time.perf_counter() - t0)
+                    states[device] = None
+        min_row = self.config.min_row_observations
+        violating: List[str] = []
+        for device in self._device_order:
+            cur = states[device]
+            prev = self._prev_states.get(device)
+            if prev is None or cur is None:
+                continue
+            chain = self._chains[device]
+            if (
+                chain.row_total(prev) >= min_row
+                and chain.count(prev, cur) == 0
+            ):
+                violating.append(device)
+        self._stage_obs["transition"].observe(time.perf_counter() - t0)
         self._last_violating = tuple(violating)
         payload = (tuple(violating), states)
         if violating:

@@ -127,9 +127,13 @@ class PackedBitsets:
     def __len__(self) -> int:
         return len(self._masks)
 
+    def __getitem__(self, index: int) -> int:
+        """The mask stored at row *index* (no copy of the list)."""
+        return self._masks[index]
+
     @property
     def masks(self) -> List[int]:
-        """The stored masks, in insertion order."""
+        """A copy of the stored masks, in insertion order."""
         return list(self._masks)
 
     @property

@@ -15,14 +15,19 @@ runtime runs the same loop one window at a time): one vectorised
 correlation check over the segment, the transition checks, and (on a
 violation) an identification session that narrows the probable faulty
 devices window by window.  The :class:`SegmentReport` it returns is a view
-over the loop's alerts.
+over the loop's alerts, with the segment's :class:`StageTimings`.
+
+The batch path writes nothing to the metrics registry: the per-window
+``dice_stage_seconds`` histogram is the streamed path's clock, and
+``StageTimings`` is a plain value the evaluation runner merges across
+worker processes for Fig. 5.3.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, FrozenSet, List, Optional
 
 from .. import telemetry
 from ..model import DeviceRegistry, Trace
@@ -44,11 +49,8 @@ TRANSITION_CHECK = "transition"
 #: Real-time stage labels, in pipeline order.
 STAGES = ("encoding", "correlation", "transition", "identification")
 
-#: Telemetry metric families the pipeline reports into.  The counters are
-#: the source of truth :class:`StageTimings` is a view over.
-STAGE_SECONDS_TOTAL = "dice_stage_seconds_total"
+#: Telemetry metric families the streamed path reports into.
 STAGE_SECONDS_HISTOGRAM = "dice_stage_seconds"
-SEGMENT_STAGE_SECONDS = "dice_segment_stage_seconds"
 WINDOWS_TOTAL = "dice_windows_total"
 CACHE_HITS_TOTAL = "dice_correlation_cache_hits_total"
 CACHE_MISSES_TOTAL = "dice_correlation_cache_misses_total"
@@ -61,11 +63,8 @@ class StageTimings:
     Also carries the correlation-memo hit/miss counters, so evaluation
     results expose how much of the dominant scan cost the cache absorbed.
 
-    This is a *view* over the telemetry counters: :meth:`publish` adds an
-    accumulation into a :class:`~repro.telemetry.MetricsRegistry` and
-    :meth:`from_snapshot` reads one back, so the evaluation runner, the
-    bench harness and ``repro metrics`` all report the same numbers — and
-    process-parallel workers merge into the same registry at join.
+    A plain value: each batch segment returns one, and the evaluation
+    runner sums them with :meth:`merge` across pairs and worker processes.
     """
 
     encoding_s: float = 0.0
@@ -105,66 +104,6 @@ class StageTimings:
         self.windows += other.windows
         self.correlation_cache_hits += other.correlation_cache_hits
         self.correlation_cache_misses += other.correlation_cache_misses
-
-    def _stage_seconds(self) -> Tuple[Tuple[str, float], ...]:
-        return (
-            ("encoding", self.encoding_s),
-            ("correlation", self.correlation_s),
-            ("transition", self.transition_s),
-            ("identification", self.identification_s),
-        )
-
-    def publish(self, metrics: "telemetry.MetricsRegistry") -> None:
-        """Add this accumulation into the registry's stage counters."""
-        if not metrics.enabled:
-            return
-        totals = metrics.counter(
-            STAGE_SECONDS_TOTAL,
-            "Cumulative wall-clock seconds per real-time stage",
-            labelnames=("stage",),
-        )
-        per_segment = metrics.histogram(
-            SEGMENT_STAGE_SECONDS,
-            "Wall-clock seconds per stage for one processed segment",
-            labelnames=("stage",),
-        )
-        for stage, seconds in self._stage_seconds():
-            totals.labels(stage=stage).inc(seconds)
-            per_segment.labels(stage=stage).observe(seconds)
-        metrics.counter(WINDOWS_TOTAL, "Windows run through the real-time phase").inc(
-            self.windows
-        )
-        metrics.counter(CACHE_HITS_TOTAL, "Correlation-memo hits").inc(
-            self.correlation_cache_hits
-        )
-        metrics.counter(CACHE_MISSES_TOTAL, "Correlation-memo misses").inc(
-            self.correlation_cache_misses
-        )
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "StageTimings":
-        """Rebuild stage totals from a metrics snapshot (the inverse view)."""
-        metrics = snapshot.get("metrics", {})
-
-        def _counter(name: str, labels: Optional[dict] = None) -> float:
-            entry = metrics.get(name)
-            if entry is None:
-                return 0.0
-            total = 0.0
-            for row in entry.get("series", []):
-                if labels is None or row.get("labels", {}) == labels:
-                    total += row.get("value", 0.0)
-            return total
-
-        return cls(
-            encoding_s=_counter(STAGE_SECONDS_TOTAL, {"stage": "encoding"}),
-            correlation_s=_counter(STAGE_SECONDS_TOTAL, {"stage": "correlation"}),
-            transition_s=_counter(STAGE_SECONDS_TOTAL, {"stage": "transition"}),
-            identification_s=_counter(STAGE_SECONDS_TOTAL, {"stage": "identification"}),
-            windows=int(_counter(WINDOWS_TOTAL)),
-            correlation_cache_hits=int(_counter(CACHE_HITS_TOTAL)),
-            correlation_cache_misses=int(_counter(CACHE_MISSES_TOTAL)),
-        )
 
 
 @dataclass
@@ -236,7 +175,6 @@ class DiceDetector:
         #: Telemetry sink; ``None`` selects the process-global registry,
         #: ``telemetry.NULL_REGISTRY`` turns recording off entirely.
         self.metrics = telemetry.resolve(metrics)
-        self.tracer = telemetry.Tracer(self.metrics)
         self.model: Optional[DiceModel] = None
         self._correlation_checker: Optional[CorrelationChecker] = None
         self._transition_checker: Optional[TransitionChecker] = None
@@ -439,36 +377,20 @@ class DiceDetector:
     # Real-time phase
     # ------------------------------------------------------------------ #
 
-    def process(self, trace: Trace, publish: bool = True) -> SegmentReport:
-        """Run the real-time phase over a segment trace.
-
-        ``publish=False`` suppresses reporting the segment's
-        :class:`StageTimings` into the telemetry registry — the evaluation
-        runner uses it so parallel-worker timings are published exactly
-        once, at join, in the parent process.
-        """
+    def process(self, trace: Trace) -> SegmentReport:
+        """Run the real-time phase over a segment trace."""
         model = self._require_fitted()
-        with self.tracer.trace("process"):
-            with self.tracer.trace("encoding"):
-                t0 = time.perf_counter()
-                windowed = model.encoder.encode(trace)
-                encoding_s = time.perf_counter() - t0
-            report = self._run_segment(windowed)
-            report.timings.encoding_s += encoding_s
-        if publish:
-            report.timings.publish(self.metrics)
+        t0 = time.perf_counter()
+        windowed = model.encoder.encode(trace)
+        encoding_s = time.perf_counter() - t0
+        report = self._run_segment(windowed)
+        report.timings.encoding_s += encoding_s
         return report
 
-    def process_windows(
-        self, windowed: WindowedTrace, publish: bool = True
-    ) -> SegmentReport:
+    def process_windows(self, windowed: WindowedTrace) -> SegmentReport:
         """Real-time phase over pre-encoded windows."""
         self._require_fitted()
-        with self.tracer.trace("process_windows"):
-            report = self._run_segment(windowed)
-        if publish:
-            report.timings.publish(self.metrics)
-        return report
+        return self._run_segment(windowed)
 
     def _run_segment(self, windowed: WindowedTrace) -> SegmentReport:
         # backend.py builds on this module, so the import waits until here.

@@ -118,7 +118,7 @@ class GroupRegistry:
         return self._by_mask.get(mask)
 
     def mask_of(self, group_id: int) -> int:
-        return self._bitsets.masks[group_id]
+        return self._bitsets[group_id]
 
     def count_of(self, group_id: int) -> int:
         """How many training windows mapped to this group."""

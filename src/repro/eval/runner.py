@@ -246,10 +246,6 @@ class EvaluationRunner:
         for outcome, timings in self._run_pairs(detector, pairs):
             result.outcomes.append(outcome)
             result.timings.merge(timings)
-        # Publish once, at join, in the parent process: per-pair publication
-        # is suppressed in ``_evaluate_pair``, so sequential and
-        # process-parallel runs land identical totals in the registry.
-        result.timings.publish(detector.metrics)
         return result
 
     def _run_pairs(
@@ -291,10 +287,8 @@ def _evaluate_pair(
     """Process one faultless/faulty pair; returns the outcome and the
     pair's accumulated stage timings (merged by the caller)."""
     timings = StageTimings()
-    # publish=False: the runner publishes the merged timings at join (in
-    # the parent process), so worker counts don't change the registry.
-    clean_report = detector.process(pair.faultless, publish=False)
-    faulty_report = detector.process(pair.faulty, publish=False)
+    clean_report = detector.process(pair.faultless)
+    faulty_report = detector.process(pair.faulty)
     timings.merge(clean_report.timings)
     timings.merge(faulty_report.timings)
     manifest = _manifestation_time(pair)

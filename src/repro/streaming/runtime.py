@@ -119,9 +119,8 @@ class OnlineDice:
         #: closing windows right now — the event-time side of the
         #: detection-latency measurement.
         self._detected_ts = float(start)
-        # Telemetry: the runtime shares its backend's registry/tracer.
+        # Telemetry: the runtime shares its backend's registry.
         self.metrics = backend.metrics
-        self.tracer = backend.tracer
         self._windows_counter = self.metrics.counter(
             WINDOWS_TOTAL, "Windows run through the real-time phase"
         )
@@ -241,20 +240,6 @@ class OnlineDice:
 
     def _handle_window(self, snapshot: WindowSnapshot) -> List[Alert]:
         hits0, misses0 = self.backend.cache_counters()
-        with self.tracer.trace("window"):
-            fresh = self._handle_window_impl(snapshot)
-        self._windows_counter.inc()
-        # Attribute only this window's memo activity, so a detector shared
-        # with a batch ``process`` call is never double-counted.
-        hits1, misses1 = self.backend.cache_counters()
-        if hits1 > hits0:
-            self._cache_hits_counter.inc(hits1 - hits0)
-        if misses1 > misses0:
-            self._cache_misses_counter.inc(misses1 - misses0)
-        self._note_alerts(fresh)
-        return fresh
-
-    def _handle_window_impl(self, snapshot: WindowSnapshot) -> List[Alert]:
         outcome = self.backend.observe_window(snapshot, self._current_qbits())
         fresh = [_streaming_alert(b) for b in outcome.alerts]
         if fresh:
@@ -266,6 +251,15 @@ class OnlineDice:
             self._note_provenance(snapshot, fresh)
         self.alerts.extend(fresh)
         self._observe_window(snapshot, outcome)
+        self._windows_counter.inc()
+        # Attribute only this window's memo activity, so a detector shared
+        # with a batch ``process`` call is never double-counted.
+        hits1, misses1 = self.backend.cache_counters()
+        if hits1 > hits0:
+            self._cache_hits_counter.inc(hits1 - hits0)
+        if misses1 > misses0:
+            self._cache_misses_counter.inc(misses1 - misses0)
+        self._note_alerts(fresh)
         return fresh
 
     def _note_provenance(

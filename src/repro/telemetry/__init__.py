@@ -1,11 +1,14 @@
-"""Gateway observability: metrics registry, stage tracing, structured logs.
+"""Gateway observability: metrics registry, provenance, structured logs.
 
 The pipeline-wide default is one process-global :class:`MetricsRegistry`
-(:func:`get_registry`) and one :class:`Tracer` over it (:func:`get_tracer`)
-— every component falls back to them when not handed an explicit registry,
-so ``repro stream --metrics-out`` sees the whole pipeline in one snapshot.
-Pass :data:`NULL_REGISTRY` (or a private ``MetricsRegistry``) to a
-component to opt out or isolate.
+(:func:`get_registry`) — every component falls back to it when not handed
+an explicit registry, so ``repro stream --metrics-out`` sees the whole
+pipeline in one snapshot.  Pass :data:`NULL_REGISTRY` (or a private
+``MetricsRegistry``) to a component to opt out or isolate.
+
+Real-time stages are timed once, by the streamed path: each backend
+observes its ``dice_stage_seconds{stage}`` histogram children, looked up
+when the backend is built, once per window.
 """
 
 from __future__ import annotations
@@ -40,20 +43,13 @@ from .registry import (
     merge_snapshots,
 )
 from .sampler import SnapshotSampler, render_dashboard
-from .spans import NULL_TRACER, SPAN_HISTOGRAM, Span, Tracer
 
 _default_registry = MetricsRegistry()
-_default_tracer = Tracer(_default_registry)
 
 
 def get_registry() -> MetricsRegistry:
     """The process-global registry every component defaults to."""
     return _default_registry
-
-
-def get_tracer() -> Tracer:
-    """The tracer bound to the process-global registry."""
-    return _default_tracer
 
 
 def resolve(metrics: Optional[MetricsRegistry]) -> MetricsRegistry:
@@ -70,21 +66,16 @@ __all__ = [
     "MetricsRegistry",
     "NULL_PROVENANCE",
     "NULL_REGISTRY",
-    "NULL_TRACER",
     "PROVENANCE_SCHEMA",
     "ProvenanceRecorder",
     "SNAPSHOT_SCHEMA",
-    "SPAN_HISTOGRAM",
     "SnapshotSampler",
-    "Span",
     "TelemetryLogger",
-    "Tracer",
     "alert_body",
     "configure",
     "current_config",
     "get_logger",
     "get_registry",
-    "get_tracer",
     "merge_many",
     "merge_snapshots",
     "render_dashboard",

@@ -127,6 +127,9 @@ class TestAmortizedGrowth:
         bits.extend([1, 3])
         bits.append(wide | 1)
         assert bits.masks == [wide, 1, 3, wide | 1]
+        assert [bits[i] for i in range(len(bits))] == bits.masks
+        bits.masks.append(7)  # a copy: the stored rows do not change
+        assert len(bits) == 4
         assert list(bits.distances_many([wide])[0]) == [0, 2, 3, 1]
 
 

@@ -9,6 +9,7 @@ from repro.core import (
     DiceConfig,
     DiceDetector,
 )
+from repro.telemetry import MetricsRegistry
 from tests.conftest import HOUR, make_cyclic_trace
 
 
@@ -47,6 +48,43 @@ class TestFaultlessProcessing:
             "transition_check",
             "identification",
         }
+
+
+class TestOneClock:
+    """The batch path returns its stage costs as a plain value and writes
+    nothing to the metrics registry: the per-window ``dice_stage_seconds``
+    children are the streamed path's clock, and the only one."""
+
+    def test_process_leaves_the_registry_at_zero(self, small_house):
+        metrics = MetricsRegistry()
+        trace = small_house.trace
+        detector = DiceDetector(trace.registry, metrics=metrics)
+        detector.fit(trace.slice(0.0, 72.0 * HOUR))
+        report = detector.process(trace.slice(72.0 * HOUR, 82.0 * HOUR))
+        timings = report.timings
+        assert timings.windows == 600
+        assert timings.correlation_cache_hits + timings.correlation_cache_misses > 0
+
+        snap = metrics.snapshot()["metrics"]
+
+        def total(name):
+            entry = snap.get(name)
+            return sum(row["value"] for row in entry["series"]) if entry else 0
+
+        assert total("dice_windows_total") == 0
+        assert total("dice_correlation_cache_hits_total") == 0
+        assert total("dice_correlation_cache_misses_total") == 0
+        stage_rows = snap["dice_stage_seconds"]["series"]
+        assert {row["labels"]["stage"] for row in stage_rows} == {
+            "correlation", "transition", "identification"
+        }
+        assert all(row["count"] == 0 and row["sum"] == 0 for row in stage_rows)
+        for gone in (
+            "dice_span_seconds",
+            "dice_stage_seconds_total",
+            "dice_segment_stage_seconds",
+        ):
+            assert gone not in snap
 
 
 class TestFaultDetection:

@@ -1,10 +1,10 @@
-"""StageTimings as a telemetry view: per-window averages, publish, rebuild."""
+"""StageTimings, the batch path's plain per-stage value: per-window
+averages and the memo hit rate."""
 
 import pytest
 
 from repro.core import StageTimings
 from repro.eval.runner import DatasetResult
-from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 
 
 class TestPerWindow:
@@ -40,29 +40,6 @@ class TestRegistryView:
             identification_s=0.125, windows=10,
             correlation_cache_hits=7, correlation_cache_misses=3,
         )
-
-    def test_publish_then_from_snapshot_round_trips(self):
-        reg = MetricsRegistry()
-        self._timings().publish(reg)
-        back = StageTimings.from_snapshot(reg.snapshot())
-        assert back == self._timings()
-
-    def test_publish_accumulates(self):
-        reg = MetricsRegistry()
-        self._timings().publish(reg)
-        self._timings().publish(reg)
-        back = StageTimings.from_snapshot(reg.snapshot())
-        assert back.windows == 20
-        assert back.correlation_s == pytest.approx(3.0)
-
-    def test_publish_to_disabled_registry_is_noop(self):
-        self._timings().publish(NULL_REGISTRY)
-        assert NULL_REGISTRY.snapshot()["metrics"] == {}
-
-    def test_from_empty_snapshot_is_zero(self):
-        empty = StageTimings.from_snapshot({"metrics": {}})
-        assert empty == StageTimings()
-        assert empty.per_window() is None
 
     def test_cache_hit_rate(self):
         assert self._timings().correlation_cache_hit_rate == 0.7

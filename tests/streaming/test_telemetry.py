@@ -91,6 +91,18 @@ class TestStreamingMetrics:
         assert by_stage["correlation"] == 60
         assert by_stage["transition"] == 60
 
+    def test_each_window_is_timed_once(self, replayed):
+        # One clock: the stage histogram is the only per-window timer, and
+        # every window the runtime counts passes through identification.
+        snap = replayed.metrics.snapshot()["metrics"]
+        assert "dice_span_seconds" not in snap
+        windows = snap["dice_windows_total"]["series"][0]["value"]
+        by_stage = {
+            row["labels"]["stage"]: row["count"]
+            for row in snap["dice_stage_seconds"]["series"]
+        }
+        assert by_stage["identification"] == windows == 60
+
     def test_drop_reasons_are_preseeded(self, replayed):
         rows = replayed.metrics.snapshot()["metrics"]["dice_ingest_dropped_total"]
         reasons = {row["labels"]["reason"]: row["value"] for row in rows["series"]}
