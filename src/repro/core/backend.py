@@ -49,6 +49,7 @@ suite in ``tests/backends/``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass
@@ -200,12 +201,19 @@ class DetectorBackend:
         self.metrics = telemetry.resolve(metrics)
         self._session: Optional[IdentificationSession] = None
         self._session_trigger: str = CORRELATION_CHECK
+
+    @functools.cached_property
+    def stage_clock(self) -> dict:
+        """The streamed path's per-window timers: the ``correlation``,
+        ``transition`` and ``identification`` children of
+        ``dice_stage_seconds``.  Resolved on first use, so a segment
+        checked in one :meth:`check_windows` pass never creates them."""
         stage_hist = self.metrics.histogram(
             STAGE_SECONDS_HISTOGRAM,
             "Wall-clock seconds per streamed window, by real-time stage",
             labelnames=("stage",),
         )
-        self._stage_obs = {
+        return {
             stage: stage_hist.labels(stage=stage)
             for stage in ("correlation", "transition", "identification")
         }
@@ -312,7 +320,7 @@ class DetectorBackend:
         """Check one streamed window and run it through the loop."""
         verdict = self.check(snapshot, qbits)
         alerts, seconds = self._session_loop((snapshot,), (verdict,))
-        self._stage_obs["identification"].observe(seconds)
+        self.stage_clock["identification"].observe(seconds)
         self._post_window(snapshot, verdict, qbits)
         return WindowOutcome(
             tuple(alerts), verdict.violation, verdict.drift_signal
@@ -535,7 +543,7 @@ class DiceBackend(DetectorBackend):
             return WindowVerdict(
                 False, payload=(_BLIND, (), self._prev_group, self._anchor_group)
             )
-        observe = self._stage_obs
+        observe = self.stage_clock
         t0 = time.perf_counter()
         corr = self._check_correlation(snapshot.mask, qbits)
         observe["correlation"].observe(time.perf_counter() - t0)
@@ -812,7 +820,7 @@ class MarkovBackend(DetectorBackend):
                 and chain.count(prev, cur) == 0
             ):
                 violating.append(device)
-        self._stage_obs["transition"].observe(time.perf_counter() - t0)
+        self.stage_clock["transition"].observe(time.perf_counter() - t0)
         self._last_violating = tuple(violating)
         payload = (tuple(violating), states)
         if violating:

@@ -16,12 +16,12 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core import DEFAULT_CONFIG, BackendAlert, DiceConfig, DiceDetector, StageTimings
-from ..faults import FaultType, InjectedFault, SegmentPair, make_segment_pairs
+from ..faults import FaultType, InjectedFault, SegmentPair, iter_segment_pairs, split_precompute
 from ..model import Device, Trace
 from .metrics import DetectionCounts, IdentificationCounts, TimingStats
 
@@ -204,18 +204,20 @@ class EvaluationRunner:
         trace: Trace,
         fault_types: Optional[Sequence[FaultType]] = None,
         devices: Optional[Sequence[Device]] = None,
-    ):
-        """Split the trace and build the segment pairs."""
-        rng = np.random.default_rng(self.seed)
-        return make_segment_pairs(
+    ) -> Tuple[Trace, Iterator[SegmentPair]]:
+        """Split off the training trace; the segment pairs are drawn as
+        the returned iterator is consumed."""
+        training, _ = split_precompute(trace, self.precompute_hours)
+        pairs = iter_segment_pairs(
             trace,
-            rng,
+            np.random.default_rng(self.seed),
             precompute_hours=self.precompute_hours,
             segment_hours=self.segment_hours,
             count=self.pairs,
             fault_types=fault_types,
             devices=devices,
         )
+        return training, pairs
 
     def fit_detector(self, trace: Trace, training: Trace) -> DiceDetector:
         return DiceDetector(trace.registry, self.config).fit(training)
@@ -228,7 +230,10 @@ class EvaluationRunner:
         devices: Optional[Sequence[Device]] = None,
         detector: Optional[DiceDetector] = None,
     ) -> DatasetResult:
-        """Run the full protocol; returns the aggregated result."""
+        """Run the full protocol; returns the aggregated result.
+
+        The fit draws nothing from the protocol's generator, so drawing the
+        pairs after it yields the same pairs as drawing them before."""
         import time as _time
 
         training, pairs = self.prepare(trace, fault_types, devices)
@@ -249,12 +254,16 @@ class EvaluationRunner:
         return result
 
     def _run_pairs(
-        self, detector: DiceDetector, pairs: Sequence[SegmentPair]
-    ) -> List[Tuple[SegmentOutcome, StageTimings]]:
-        """Evaluate every pair, sequentially or across worker processes."""
-        if self.workers <= 1 or len(pairs) <= 1:
+        self, detector: DiceDetector, pairs: Iterator[SegmentPair]
+    ) -> Iterator[Tuple[SegmentOutcome, StageTimings]]:
+        """Evaluate every pair: one worker evaluates each pair as it is
+        drawn; a pool takes them all as one list."""
+        if self.workers <= 1:
+            return (_evaluate_pair(detector, pair) for pair in pairs)
+        pairs = list(pairs)
+        if len(pairs) <= 1:
             return [_evaluate_pair(detector, pair) for pair in pairs]
-        chunks = _contiguous_chunks(list(pairs), self.workers)
+        chunks = _contiguous_chunks(pairs, self.workers)
         payloads = [
             pickle.dumps((detector, chunk), protocol=pickle.HIGHEST_PROTOCOL)
             for chunk in chunks

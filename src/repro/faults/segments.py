@@ -13,7 +13,7 @@ replacement (the fault placement still differs pair to pair).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +71,7 @@ def segment_starts(
     return starts[:count]
 
 
-def make_segment_pairs(
+def iter_segment_pairs(
     trace: Trace,
     rng: np.random.Generator,
     precompute_hours: float = 300.0,
@@ -80,24 +80,27 @@ def make_segment_pairs(
     fault_types: Optional[Sequence[FaultType]] = None,
     devices: Optional[Sequence[Device]] = None,
     injector: Optional[FaultInjector] = None,
-) -> Tuple[Trace, List[SegmentPair]]:
-    """The full Ch. V protocol: returns ``(training, pairs)``.
+) -> Iterator[SegmentPair]:
+    """The Ch. V protocol's *count* pairs, drawn one at a time.
 
-    ``fault_types`` restricts the injected classes (e.g. actuator
-    experiments); ``devices`` restricts the target pool (sensors by
-    default).
+    Each faultless segment is a slice of *trace* (a view); each faulty copy
+    is built when its pair is drawn, so a consumer that lets each pair go
+    before asking for the next holds at most two.  ``fault_types``
+    restricts the injected classes (e.g. actuator experiments);
+    ``devices`` restricts the target pool (sensors by default).  Raises
+    :class:`RuntimeError` once the draws run out with fewer than *count*
+    pairs.
     """
-    training, evaluation = split_precompute(trace, precompute_hours)
+    _, evaluation = split_precompute(trace, precompute_hours)
     if injector is None:
         injector = (
             FaultInjector(rng, tuple(fault_types)) if fault_types else FaultInjector(rng)
         )
-    pairs: List[SegmentPair] = []
     seg_len = segment_hours * 3600.0
     span = evaluation.end - evaluation.start
     starts = segment_starts(evaluation, segment_hours, count, rng)
-    attempts = 0
-    while len(pairs) < count and attempts < 20 * count:
+    built = attempts = 0
+    while built < count and attempts < 20 * count:
         attempts += 1
         if starts:
             start = starts.pop()
@@ -116,10 +119,22 @@ def make_segment_pairs(
             # possible there — redraw, as the thesis's random placement on
             # real recordings implicitly does.
             continue
-        pairs.append(SegmentPair(segment, faulty, fault))
-    if len(pairs) < count:
+        built += 1
+        yield SegmentPair(segment, faulty, fault)
+    if built < count:
         raise RuntimeError(
-            f"could only build {len(pairs)}/{count} segment pairs; "
+            f"could only build {built}/{count} segment pairs; "
             "evaluation span may be too quiet"
         )
-    return training, pairs
+
+
+def make_segment_pairs(
+    trace: Trace,
+    rng: np.random.Generator,
+    precompute_hours: float = 300.0,
+    **options,
+) -> Tuple[Trace, List[SegmentPair]]:
+    """The full Ch. V protocol: returns ``(training, pairs)``, the pairs of
+    :func:`iter_segment_pairs` (which takes the same *options*) as a list."""
+    training, _ = split_precompute(trace, precompute_hours)
+    return training, list(iter_segment_pairs(trace, rng, precompute_hours, **options))

@@ -28,7 +28,8 @@ class Trace:
     timestamps, device_indices, values:
         Parallel arrays describing the events.  ``device_indices`` are
         indices into *registry*.  The constructor sorts by time (stable), so
-        callers may pass unsorted data.
+        callers may pass unsorted data.  Sorted arrays of the right dtypes
+        are kept as given, not copied.
     start, end:
         Observation interval in seconds.  Defaults to ``[0, last event]``.
         Keeping the interval explicit matters because an interval with no
@@ -55,8 +56,12 @@ class Trace:
             device_indices.min() < 0 or device_indices.max() >= len(registry)
         ):
             raise ValueError("device index out of range for registry")
-        order = np.argsort(timestamps, kind="stable")
-        if not np.array_equal(order, np.arange(len(order))):
+        # One neighbour comparison (a 1 B/event temporary) tells sorted
+        # input apart; only unsorted input, or input with NaN, pays for the
+        # argsort.  A stable sort leaves sorted input as it is, so the
+        # arrays hold the same bytes either way.
+        if not np.all(timestamps[1:] >= timestamps[:-1]):
+            order = np.argsort(timestamps, kind="stable")
             timestamps = timestamps[order]
             device_indices = device_indices[order]
             values = values[order]
@@ -168,17 +173,29 @@ class Trace:
     def slice(self, t0: float, t1: float, rebase: bool = False) -> "Trace":
         """Events in ``[t0, t1)``.
 
+        The slice shares this trace's arrays (numpy views), so it costs no
+        memory that grows with its length, and it keeps the whole parent
+        alive for as long as it lives: call :meth:`copy` on a slice that
+        should outlive its parent compactly.  Nothing writes into a trace's
+        arrays in place.
+
         With ``rebase=True``, timestamps are shifted so the slice starts at
         zero — convenient for treating evaluation segments independently.
+        The shifted timestamps are a new array; device indices and values
+        are still shared.
         """
         if t1 < t0:
             raise ValueError("t1 must be >= t0")
         lo = int(np.searchsorted(self.timestamps, t0, side="left"))
         hi = int(np.searchsorted(self.timestamps, t1, side="left"))
-        shift = -t0 if rebase else 0.0
+        timestamps = self.timestamps[lo:hi]
+        shift = 0.0
+        if rebase:
+            shift = -t0
+            timestamps = timestamps + shift
         return Trace(
             self.registry,
-            self.timestamps[lo:hi] + shift,
+            timestamps,
             self.device_indices[lo:hi],
             self.values[lo:hi],
             start=t0 + shift,
@@ -248,6 +265,7 @@ class Trace:
         )
 
     def copy(self) -> "Trace":
+        """A trace that owns its arrays: compact, even for a slice."""
         return self.replace_arrays(
             self.timestamps.copy(), self.device_indices.copy(), self.values.copy()
         )

@@ -303,53 +303,59 @@ class HomeSimulator:
         binary_times: Dict[str, List[np.ndarray]],
         actuator_events: Dict[str, List[Tuple[float, float]]],
     ) -> Trace:
-        spec = self.spec
-        all_t: List[np.ndarray] = []
-        all_d: List[np.ndarray] = []
-        all_v: List[np.ndarray] = []
+        """Render every device's run and write the runs into one set of
+        preallocated arrays, then sort them by time once.
 
-        for device in spec.registry.numeric_sensors():
-            builder = NumericSignalBuilder(spec.profile_of(device.device_id))
+        Runs go in numeric sensors' registry order, then binary sensors'
+        first-trigger order, then actuators' rule order: the stable time
+        sort breaks ties by this order.  Each source is dropped once it is
+        copied, so the sources, the trace and the sort never all live at
+        once.
+        """
+        registry = self.spec.registry
+        # A run is (device index, event count, timestamps, values); a binary
+        # run holds its list of time chunks and no values (each reads 1.0).
+        runs: List[Tuple[int, int, object, Optional[np.ndarray]]] = []
+        for device in registry.numeric_sensors():
+            builder = NumericSignalBuilder(self.spec.profile_of(device.device_id))
             for effect in numeric_effects.get(device.device_id, []):
                 start = max(0.0, effect.start)
                 end = min(horizon, effect.end)
                 if end > start:
                     builder.add(start, end, effect.delta)
             t, v = builder.render(horizon, rng)
-            if len(t):
-                all_t.append(t)
-                all_d.append(
-                    np.full(len(t), spec.registry.index_of(device.device_id), np.int32)
-                )
-                all_v.append(v)
-
+            runs.append((registry.index_of(device.device_id), len(t), t, v))
         for device_id, chunks in binary_times.items():
-            times = np.concatenate(chunks)
-            if len(times):
-                all_t.append(times)
-                all_d.append(
-                    np.full(len(times), spec.registry.index_of(device_id), np.int32)
-                )
-                all_v.append(np.ones(len(times)))
-
+            count = sum(len(chunk) for chunk in chunks)
+            runs.append((registry.index_of(device_id), count, chunks, None))
+        binary_times.clear()
         for device_id, events in actuator_events.items():
-            if events:
-                t = np.array([e[0] for e in events])
-                v = np.array([e[1] for e in events])
-                keep = (t >= 0) & (t < horizon)
-                all_t.append(t[keep])
-                all_d.append(
-                    np.full(int(keep.sum()), spec.registry.index_of(device_id), np.int32)
-                )
-                all_v.append(v[keep])
+            t = np.array([e[0] for e in events])
+            v = np.array([e[1] for e in events])
+            keep = (t >= 0) & (t < horizon)
+            runs.append((registry.index_of(device_id), int(keep.sum()), t[keep], v[keep]))
 
-        if not all_t:
-            return Trace.empty(spec.registry, 0.0, horizon)
-        return Trace(
-            spec.registry,
-            np.concatenate(all_t),
-            np.concatenate(all_d),
-            np.concatenate(all_v),
-            start=0.0,
-            end=horizon,
-        )
+        n = sum(run[1] for run in runs)
+        timestamps = np.empty(n, dtype=np.float64)
+        device_indices = np.empty(n, dtype=np.int32)
+        values = np.empty(n, dtype=np.float64)
+        at = 0
+        runs.reverse()  # pop() then hands out the runs in order
+        while runs:
+            index, count, times, vals = runs.pop()
+            end = at + count
+            if vals is None:
+                np.concatenate(times, out=timestamps[at:end])
+                values[at:end] = 1.0
+            else:
+                timestamps[at:end] = times
+                values[at:end] = vals
+            device_indices[at:end] = index
+            at = end
+            del times, vals
+
+        order = np.argsort(timestamps, kind="stable")
+        timestamps = timestamps[order]
+        device_indices = device_indices[order]
+        values = values[order]
+        return Trace(registry, timestamps, device_indices, values, start=0.0, end=horizon)

@@ -119,8 +119,10 @@ class OnlineDice:
         #: closing windows right now — the event-time side of the
         #: detection-latency measurement.
         self._detected_ts = float(start)
-        # Telemetry: the runtime shares its backend's registry.
+        # Telemetry: the runtime shares its backend's registry, and exports
+        # the backend's stage clock before the first window closes.
         self.metrics = backend.metrics
+        backend.stage_clock
         self._windows_counter = self.metrics.counter(
             WINDOWS_TOTAL, "Windows run through the real-time phase"
         )

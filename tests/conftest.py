@@ -1,5 +1,7 @@
 """Shared fixtures: a small deterministic deployment and traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,17 @@ from repro.model import (
 )
 
 HOUR = 3600.0
+
+
+def traced_peak(build):
+    """``(tracemalloc peak in bytes, result)`` of calling *build*."""
+    tracemalloc.start()
+    try:
+        built = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, built
 
 
 @pytest.fixture

@@ -7,8 +7,6 @@ short and a ten times longer history; the allowed growth is a constant
 picked from measurement, well under what decoding the history costs.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -33,23 +31,13 @@ from repro.faults import (
 from repro.faults.crash import _fresh_fleet
 from repro.streaming import Alert
 from repro.telemetry.provenance import canonical_record_bytes
+from tests.conftest import traced_peak
 
 #: Allowed peak growth from 200 to 2,000 records of history.  Holding
 #: the ids measured 0.26 MiB (archive) and 0.54 MiB (outbox: journaled
 #: ids plus ack outcomes); decoding the history, 5.7 and 3.1 MiB.
 ARCHIVE_GROWTH_BYTES = 1 << 20  # 1 MiB
 OUTBOX_GROWTH_BYTES = 3 << 19  # 1.5 MiB
-
-
-def _opened(build):
-    """``(tracemalloc peak in bytes, result)`` of calling *build*."""
-    tracemalloc.start()
-    try:
-        built = build()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak, built
 
 
 def _evidence(seq: int) -> dict:
@@ -95,7 +83,7 @@ class TestBoundedMemory:
         for records in (200, 2000):
             log_dir = tmp_path / str(records)
             _archive(log_dir, records)
-            peak, log = _opened(lambda: ProvenanceLog(log_dir))
+            peak, log = traced_peak(lambda: ProvenanceLog(log_dir))
             assert len(log) == records
             peaks.append(peak)
         assert peaks[1] - peaks[0] <= ARCHIVE_GROWTH_BYTES, peaks
@@ -106,7 +94,7 @@ class TestBoundedMemory:
             outbox_dir = tmp_path / str(alerts)
             _delivered_outbox(outbox_dir, alerts)
             sink = CallbackSink(lambda _record: None)
-            peak, reopened = _opened(lambda: AlertOutbox(outbox_dir, sink))
+            peak, reopened = traced_peak(lambda: AlertOutbox(outbox_dir, sink))
             assert reopened.pending == []
             assert len(reopened.delivered_ids()) == alerts
             peaks.append(peak)

@@ -1,10 +1,14 @@
 """Tests for the Ch. V protocol runner (small-scale)."""
 
+import weakref
+
 import pytest
 
 from repro.core import CORRELATION_CHECK, TRANSITION_CHECK
 from repro.eval import EvaluationRunner
-from repro.faults import FaultType
+from repro.faults import FaultType, segments
+from repro.model import Trace
+from tests.conftest import HOUR, make_cyclic_trace
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +97,34 @@ class TestRunnerOptions:
         )
         actuator_ids = {a.device_id for a in actuators}
         assert all(o.fault.device_id in actuator_ids for o in result.outcomes)
+
+
+class TestStreamedPairs:
+    def test_one_worker_holds_at_most_two_pairs(self, small_house, monkeypatch):
+        # Each pair is evaluated as it is drawn: while the next one is
+        # built, only the one just evaluated may still be alive.
+        alive = weakref.WeakSet()
+        held = []
+
+        class Tracked(segments.SegmentPair):
+            def __init__(self, *args):
+                super().__init__(*args)
+                alive.add(self)
+                held.append(len(alive))
+
+        monkeypatch.setattr(segments, "SegmentPair", Tracked)
+        runner = EvaluationRunner(precompute_hours=72.0, pairs=6, seed=3)
+        result = runner.evaluate(small_house.name, small_house.trace)
+        assert len(held) == len(result.outcomes) == 6
+        assert max(held) <= 2, held
+
+    def test_quiet_evaluation_span_still_raises(self, registry):
+        # Events only in the training part: no segment can take a fault.
+        busy = make_cyclic_trace(registry, hours=4.0)
+        trace = Trace(
+            registry, busy.timestamps, busy.device_indices, busy.values,
+            start=0.0, end=8.0 * HOUR,
+        )
+        runner = EvaluationRunner(precompute_hours=4.0, segment_hours=1.0, pairs=3)
+        with pytest.raises(RuntimeError, match="too quiet"):
+            runner.evaluate("quiet", trace)

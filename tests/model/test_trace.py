@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model import Event, Trace
+from tests.conftest import make_cyclic_trace, traced_peak
 
 
 def make_trace(registry, times, devs, vals, **kwargs):
@@ -102,6 +103,42 @@ class TestSlicing:
             np.array([1.0]), np.array([1], dtype=np.int32), np.array([1.0])
         )
         assert list(merged.timestamps) == [1.0, 5.0]
+
+
+def _arrays(trace):
+    return (trace.timestamps, trace.device_indices, trace.values)
+
+
+class TestHeldOnce:
+    """A trace holds each event once: sorted input is kept as given, and a
+    slice is a view of its parent."""
+
+    def test_sorted_input_is_kept_without_a_sort(self, registry):
+        n = 200_000
+        rng = np.random.default_rng(0)
+        arrays = (
+            np.cumsum(rng.uniform(0.0, 2.0, n)),
+            rng.integers(0, len(registry), n).astype(np.int32),
+            rng.random(n),
+        )
+        peak, trace = traced_peak(lambda: Trace(registry, *arrays))
+        # The sortedness test is a 1 B/event temporary; a sort would cost
+        # at least the 8 B/event of its index array.
+        assert peak < 8 * n, peak
+        assert all(a is b for a, b in zip(_arrays(trace), arrays))
+
+    def test_slice_shares_its_parents_arrays(self, registry):
+        trace = make_cyclic_trace(registry, hours=2.0)
+        part = trace.slice(1800.0, 5400.0)
+        assert 0 < len(part) < len(trace)
+        assert all(map(np.shares_memory, _arrays(part), _arrays(trace)))
+        rebased = trace.slice(1800.0, 5400.0, rebase=True)
+        assert rebased.timestamps[0] == part.timestamps[0] - 1800.0
+        assert not np.shares_memory(rebased.timestamps, trace.timestamps)
+        assert np.shares_memory(rebased.device_indices, trace.device_indices)
+        assert np.shares_memory(rebased.values, trace.values)
+        compact = part.copy()
+        assert not any(map(np.shares_memory, _arrays(compact), _arrays(trace)))
 
 
 class TestStatistics:

@@ -10,7 +10,14 @@ from repro.smarthome import (
     postech_floorplan,
     single_floor_apartment,
 )
-from repro.datasets import build_spec
+from repro.datasets import build_spec, load_dataset
+from tests.conftest import traced_peak
+
+#: What generation may hold beyond twice the trace's own bytes: the
+#: schedules and effect intervals, measured at +0.1 MiB or less for the
+#: two homes below (about 190k and 200k events).  Keeping every rendered
+#: source alive next to the trace and a sorted copy read 3.6-3.9x instead.
+GENERATION_SLACK_BYTES = 1 << 20
 
 
 class TestFloorPlan:
@@ -127,3 +134,17 @@ class TestSimulator:
         # OverflowError the schedule builder would raise on its own.
         with pytest.raises(ValueError, match="finite"):
             HomeSimulator(build_spec("houseA")).simulate(horizon, seed=1)
+
+
+@pytest.mark.parametrize(
+    "name, hours",
+    # twor: binary and numeric sensors; D_twor, a testbed home, adds
+    # actuator events.
+    [("twor", 200.0), ("D_twor", 450.0)],
+)
+def test_generation_holds_each_event_about_twice(name, hours):
+    peak, data = traced_peak(lambda: load_dataset(name, seed=0, hours=hours))
+    trace = data.trace
+    own = trace.timestamps.nbytes + trace.device_indices.nbytes + trace.values.nbytes
+    assert len(trace) > 150_000
+    assert peak <= 2 * own + GENERATION_SLACK_BYTES, (peak, own)

@@ -103,6 +103,18 @@ class TestStreamingMetrics:
         }
         assert by_stage["identification"] == windows == 60
 
+    def test_stage_clock_exports_before_the_first_window(
+        self, registry, cyclic_trace
+    ):
+        # A served home lists the stage histogram from the start: building
+        # the runtime resolves the clock that the batch path never touches.
+        runtime = _runtime(_fit(registry, cyclic_trace, telemetry.MetricsRegistry()))
+        rows = runtime.metrics.snapshot()["metrics"]["dice_stage_seconds"]["series"]
+        assert {row["labels"]["stage"] for row in rows} == {
+            "correlation", "transition", "identification"
+        }
+        assert all(row["count"] == 0 for row in rows)
+
     def test_drop_reasons_are_preseeded(self, replayed):
         rows = replayed.metrics.snapshot()["metrics"]["dice_ingest_dropped_total"]
         reasons = {row["labels"]["reason"]: row["value"] for row in rows["series"]}
