@@ -834,6 +834,15 @@ def _cmd_stream(args) -> int:
     # stream open (checkpoint/journal carry the resume state) and exit 0.
     from .service import GracefulShutdown
 
+    # Without a journal nothing drains the runtime's evidence buffer, which
+    # keeps only the newest records: gather them by id as the stream runs
+    # (the buffer stays whole, so a checkpoint still carries it).
+    evidence: dict = {}
+
+    def gather_evidence() -> None:
+        for record in runtime.provenance.records():
+            evidence[record["id"]] = record
+
     alerts = []
     sent = 0
     with GracefulShutdown() as shutdown:
@@ -844,6 +853,7 @@ def _cmd_stream(args) -> int:
             chunk = events[offset : offset + chunk_size]
             alerts += gateway.dispatch([(home, event) for event in chunk])
             sent += len(chunk)
+            gather_evidence()
     drained = shutdown.requested
     if drained:
         _log.info(
@@ -889,7 +899,8 @@ def _cmd_stream(args) -> int:
         if durable is not None:
             records = durable.provenance_log_of(home).records()
         else:
-            records = runtime.provenance.records()
+            gather_evidence()
+            records = evidence.values()
         records = sorted(records, key=lambda r: r["alert"]["seq"])
         with open(args.provenance_out, "w", encoding="utf-8") as handle:
             for record in records:

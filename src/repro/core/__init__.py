@@ -31,7 +31,6 @@ from .config import (
     BITS_PER_BINARY_DEVICE,
     BITS_PER_NUMERIC_SENSOR,
     DEFAULT_CONFIG,
-    KNOWN_BACKENDS,
     DiceConfig,
 )
 from .context import (
@@ -84,7 +83,6 @@ __all__ = [
     "create_backend",
     "register_backend",
     "WindowComparator",
-    "KNOWN_BACKENDS",
     "PackedBitsets",
     "hamming",
     "mask_from_bits",

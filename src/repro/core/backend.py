@@ -24,9 +24,9 @@ The contract per backend:
 * ``checkpoint_state()`` / ``load_state(state)`` — JSON round-trip of the
   backend's transient streaming state (the fitted model is *not* included,
   mirroring the runtime checkpoint contract);
-* ``fingerprint()`` / ``context_hash()`` — cheap invariants and a content
-  hash of the fitted model, so checkpoints and fleet manifests can refuse
-  restores onto the wrong model.
+* ``context_hash()`` — a content hash of the fitted model, the one
+  identity a checkpoint records, so a restore onto any other model is
+  refused.
 
 Three backends register here:
 
@@ -69,7 +69,7 @@ from typing import (
 from .. import telemetry
 from ..model import DeviceRegistry, Trace
 from .checks import CorrelationResult, TransitionCase
-from .config import DEFAULT_CONFIG, DiceConfig
+from .config import DEFAULT_CONFIG, MIN_ROW_OBSERVATIONS, DiceConfig
 from .detector import (
     CORRELATION_CHECK,
     STAGE_SECONDS_HISTOGRAM,
@@ -457,12 +457,8 @@ class DetectorBackend:
 
     # -- model identity --------------------------------------------------- #
 
-    def fingerprint(self) -> dict:
-        """Cheap invariants of the fitted model; checkpoints must match."""
-        raise NotImplementedError
-
     def context_hash(self) -> str:
-        """Content hash of the fitted model (fleet manifests record it)."""
+        """Content hash of the fitted model (checkpoints record it)."""
         raise NotImplementedError
 
 
@@ -689,17 +685,6 @@ class DiceBackend(DetectorBackend):
 
     # -- model identity ----------------------------------------------------- #
 
-    def fingerprint(self) -> dict:
-        model = self.dice_detector.model
-        if model is None:
-            raise ValueError("detector must be fitted")
-        return {
-            "num_bits": model.encoder.layout.num_bits,
-            "num_groups": len(model.groups),
-            "window_seconds": model.encoder.window_seconds,
-            "num_devices": len(self.registry),
-        }
-
     def context_hash(self) -> str:
         from .context import context_hash
 
@@ -715,7 +700,7 @@ class MarkovBackend(DetectorBackend):
     numeric sensor's its three derived bits, an actuator's its per-window
     activation), and a window violates when any device takes a transition
     whose training count is zero while its source state is trusted
-    (``min_row_observations``).  No cross-device context is extracted —
+    (``MIN_ROW_OBSERVATIONS``).  No cross-device context is extracted —
     which is exactly what makes it a useful baseline for the paper's
     correlated-group claim.
     """
@@ -807,7 +792,6 @@ class MarkovBackend(DetectorBackend):
                     for bit in layout.bits_of_device(device)
                 ):
                     states[device] = None
-        min_row = self.config.min_row_observations
         violating: List[str] = []
         for device in self._device_order:
             cur = states[device]
@@ -816,7 +800,7 @@ class MarkovBackend(DetectorBackend):
                 continue
             chain = self._chains[device]
             if (
-                chain.row_total(prev) >= min_row
+                chain.row_total(prev) >= MIN_ROW_OBSERVATIONS
                 and chain.count(prev, cur) == 0
             ):
                 violating.append(device)
@@ -877,17 +861,6 @@ class MarkovBackend(DetectorBackend):
         self._prev_states = dict(payload["prev"])
 
     # -- model identity ----------------------------------------------------- #
-
-    def fingerprint(self) -> dict:
-        if self._chains is None:
-            raise ValueError("detector must be fitted")
-        return {
-            "backend": self.name,
-            "num_bits": self.encoder.layout.num_bits,
-            "window_seconds": self.encoder.window_seconds,
-            "num_devices": len(self.registry),
-            "num_chains": len(self._chains),
-        }
 
     def context_hash(self) -> str:
         self._require_fitted()
@@ -1095,13 +1068,6 @@ class EnsembleBackend(DetectorBackend):
 
     # -- model identity ----------------------------------------------------- #
 
-    def fingerprint(self) -> dict:
-        return {
-            "backend": self.name,
-            "quorum": self.quorum,
-            "children": [child.fingerprint() for child in self.children],
-        }
-
     def context_hash(self) -> str:
         digest = hashlib.blake2b(digest_size=16)
         digest.update(f"quorum={self.quorum};".encode())
@@ -1131,7 +1097,7 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def create_backend(
-    name: Optional[str],
+    name: str,
     registry: DeviceRegistry,
     config: DiceConfig = DEFAULT_CONFIG,
     *,
@@ -1140,12 +1106,9 @@ def create_backend(
 ) -> DetectorBackend:
     """Instantiate a registered backend (unfitted).
 
-    ``name=None`` selects ``config.backend``.  An unknown name raises
-    ``ValueError`` with one line naming the valid backends — the CLI
-    surfaces it verbatim and exits 2.
+    An unknown name raises ``ValueError`` with one line naming the valid
+    backends — the CLI surfaces it verbatim and exits 2.
     """
-    if name is None:
-        name = config.backend
     factory = _BACKENDS.get(name)
     if factory is None:
         valid = ", ".join(available_backends())

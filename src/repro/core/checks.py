@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DiceConfig
+from .config import CLOSURE_MAX_SELF_LOOP, MIN_ROW_OBSERVATIONS, DiceConfig
 from .groups import GroupRegistry
 from .transitions import TransitionModel
 
@@ -362,7 +362,6 @@ class TransitionChecker:
         if not self.config.g2g_two_step_closure:
             return False
         g2g = self.transitions.g2g
-        max_self = self.config.closure_max_self_loop
         for middle in g2g.successors(prev_group):
             if middle == prev_group or middle == cur_group:
                 continue
@@ -370,7 +369,7 @@ class TransitionChecker:
             # dwell for about one window, so their self-loop probability is
             # low.  Long-dwell hubs (most of all the all-quiet group) would
             # otherwise make every pair reachable and blind the check.
-            if g2g.probability(middle, middle) > max_self:
+            if g2g.probability(middle, middle) > CLOSURE_MAX_SELF_LOOP:
                 continue
             if g2g.probability(middle, cur_group) > 0.0:
                 return True
@@ -391,10 +390,9 @@ class TransitionChecker:
         """
         violations: List[TransitionViolation] = []
         model = self.transitions
-        min_obs = self.config.min_row_observations
         if prev_group is not None:
             if (
-                model.g2g.row_total(prev_group) >= min_obs
+                model.g2g.row_total(prev_group) >= MIN_ROW_OBSERVATIONS
                 and model.g2g.probability(prev_group, cur_group) == 0.0
                 and self._group_is_confident(prev_group)
                 and self._group_is_confident(cur_group)
@@ -415,7 +413,7 @@ class TransitionChecker:
                     )
         for act in sorted(prev_actuators):
             if (
-                model.a2g.row_total(act) >= min_obs
+                model.a2g.row_total(act) >= MIN_ROW_OBSERVATIONS
                 and model.a2g.probability(act, cur_group) == 0.0
                 and self._group_is_confident(cur_group)
             ):

@@ -33,12 +33,11 @@ from .backend import (
     DiceBackend,
     WindowOutcome,
     WindowVerdict,
-    available_backends,
     register_backend,
 )
 from .bitset import mask_from_bits
 from .checks import CorrelationResult
-from .config import DEFAULT_CONFIG, KNOWN_BACKENDS
+from .config import DEFAULT_CONFIG
 from .encoding import StateSetEncoder, WindowedTrace
 
 
@@ -156,15 +155,6 @@ class WindowComparator(DetectorBackend):
 
     def load_payload(self, payload: dict) -> None:
         self._state = dict(payload)
-
-    def fingerprint(self) -> dict:
-        return {
-            "backend": self.name,
-            "num_bits": self.encoder.layout.num_bits,
-            "window_seconds": self.encoder.window_seconds,
-            "num_devices": len(self.registry),
-            "model": self.context_hash(),
-        }
 
     def context_hash(self) -> str:
         encoder = self.encoder
@@ -443,10 +433,3 @@ register_backend(MarkovOnlyBackend.name, MarkovOnlyBackend.create)
 register_backend(MajorityVoteBackend.name, MajorityVoteBackend)
 register_backend(TimeSeriesARBackend.name, TimeSeriesARBackend)
 register_backend(LcsCleanBackend.name, LcsCleanBackend)
-
-# The config-side name list must cover the built-in registry, so a bad
-# ``DiceConfig(backend=...)`` fails at construction with the same message
-# shape as ``create_backend``.
-assert set(KNOWN_BACKENDS) == set(available_backends()), (
-    "KNOWN_BACKENDS out of sync with the backend registry"
-)

@@ -29,20 +29,15 @@ from typing import Optional
 BITS_PER_BINARY_DEVICE = 1
 BITS_PER_NUMERIC_SENSOR = 3
 
-#: Names of the built-in detector backends (see ``repro.core.backend`` and
-#: ``repro.core.comparators``).
-#: Kept here — not derived from the backend registry — so config validation
-#: never imports the backend module (which imports this one).
-KNOWN_BACKENDS = (
-    "clean-lcs",
-    "correlation-only",
-    "dice",
-    "ensemble",
-    "majority-vote",
-    "markov",
-    "markov-only",
-    "timeseries-ar",
-)
+#: Minimum observations before a transition row is trusted; rows observed
+#: fewer times than this never raise transition violations.  The paper's
+#: rule is 1: any observed row counts.
+MIN_ROW_OBSERVATIONS = 1
+
+#: A group only qualifies as a skipped middle in the two-step G2G closure
+#: (``DiceConfig.g2g_two_step_closure``) if its training self-loop
+#: probability is at most this (short dwell).
+CLOSURE_MAX_SELF_LOOP = 0.4
 
 
 @dataclass(frozen=True)
@@ -53,11 +48,6 @@ class DiceConfig:
     num_faults: int = 1
     max_candidate_distance: Optional[int] = None
     max_identification_windows: int = 120
-    #: Minimum observations before a transition row is trusted; rows observed
-    #: fewer times than this never raise transition violations.  The paper's
-    #: rule corresponds to 1 (any observed row counts); raising it guards
-    #: against sparse-training artefacts at some recall cost.
-    min_row_observations: int = 1
     #: Confidence guard for G2G transition violations: both endpoint groups
     #: must have been observed at least this many times in training before a
     #: zero-probability transition between them counts as a violation.
@@ -75,17 +65,11 @@ class DiceConfig:
     #: alias pairs dominate false positives.  The paper's zero-probability
     #: rule corresponds to False.
     g2g_two_step_closure: bool = True
-    #: A group only qualifies as a skipped middle in the two-step closure if
-    #: its training self-loop probability is at most this (short dwell).
-    closure_max_self_loop: float = 0.4
     #: LRU entries for the mask → correlation-result memo.  Smart-home state
     #: sets "retain their value for several rounds" (§5.2), so live traffic
     #: repeats a small working set of masks heavily; a hit skips the group
     #: scan entirely.  0 disables memoisation (every check scans).
     correlation_cache_size: int = 4096
-    #: Which detector backend the streaming runtime hosts.  ``dice`` is the
-    #: paper's pipeline; see ``repro.core.backend`` for the others.
-    backend: str = "dice"
 
     def __post_init__(self) -> None:
         if self.window_seconds <= 0:
@@ -96,17 +80,10 @@ class DiceConfig:
             raise ValueError("max_candidate_distance must be at least 1")
         if self.max_identification_windows < 1:
             raise ValueError("max_identification_windows must be at least 1")
-        if self.min_row_observations < 1:
-            raise ValueError("min_row_observations must be at least 1")
         if self.min_group_observations < 1:
             raise ValueError("min_group_observations must be at least 1")
         if self.correlation_cache_size < 0:
             raise ValueError("correlation_cache_size must be non-negative")
-        if self.backend not in KNOWN_BACKENDS:
-            valid = ", ".join(KNOWN_BACKENDS)
-            raise ValueError(
-                f"unknown backend {self.backend!r}; valid backends: {valid}"
-            )
 
     @property
     def num_thre(self) -> int:

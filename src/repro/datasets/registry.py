@@ -34,10 +34,6 @@ class DatasetInfo:
     family: str  # "isla", "casas", or "testbed"
     builder: Callable[[], HomeSpec]
 
-    @property
-    def total_sensors(self) -> int:
-        return self.binary_sensors + self.numeric_sensors
-
 
 @dataclass
 class LoadedDataset:

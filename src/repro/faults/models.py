@@ -33,10 +33,6 @@ class FaultType(enum.Enum):
     HIGH_NOISE = "high_noise"
     SPIKE = "spike"
 
-    @property
-    def is_fail_stop(self) -> bool:
-        return self is FaultType.FAIL_STOP
-
 
 #: The non-fail-stop classes of Ni et al. the evaluation cycles through.
 NON_FAIL_STOP_TYPES = (
@@ -75,12 +71,6 @@ def _scale_of(trace: Trace, device_id: str) -> _DeviceScale:
     if len(values) == 0:
         return _DeviceScale(0.0, 1.0)
     return _DeviceScale(float(values.min()), float(values.max()))
-
-
-def _last_value_before(trace: Trace, device_id: str, onset: float) -> Optional[float]:
-    times, values = trace.events_for(device_id)
-    before = values[times < onset]
-    return float(before[-1]) if len(before) else None
 
 
 def _drop_after(trace: Trace, device_id: str, onset: float) -> Trace:

@@ -2,16 +2,17 @@
 
 A fleet checkpoint is a *directory* holding one file::
 
-    <dir>/manifest.json    schema dice-fleet-manifest/4
+    <dir>/manifest.json    schema dice-fleet-manifest/5
 
-The manifest records the shard count and, per home, its shard, the
-content hash of its base trained context, and the versioned runtime
-snapshot :func:`repro.streaming.checkpoint_state` produces (``version``,
-``backend``, ``model``, ``runtime`` and, with telemetry on,
-``telemetry``) — the fleet layer adds no per-home state of its own.  A
-durable gateway adds a ``durability`` block (journal epochs, alert and
-ingest sequences) to the same document.  A single home runs as a fleet
-of one, so its checkpoint is a directory too.
+The manifest records the shard count and, per home, exactly the
+versioned runtime snapshot :func:`repro.streaming.checkpoint_state`
+produces (``version``, ``backend``, ``context``, ``runtime`` and, with
+telemetry on, ``telemetry``) — the fleet layer adds no per-home state of
+its own.  A durable gateway adds a ``durability`` block (journal epochs,
+alert and ingest sequences) to the same document; its homes' evidence
+records live in their ``provenance.wal`` archives, so their snapshots
+carry none.  A single home runs as a fleet of one, so its checkpoint is
+a directory too.
 
 The document is written once: to a temporary file that is fsynced, then
 renamed over ``manifest.json``, then the directory is fsynced.  A crash
@@ -25,13 +26,13 @@ resharding relabels homes without touching any detection state.
 Fitted detector models are *not* serialized (large, immutable; the
 fleet's homes are refit or loaded from their own artefacts) — the caller
 hands ``restore_fleet`` one fitted detector per home, and every home
-entry's backend name, ``model`` fingerprint and base-context **content
-hash** (:func:`~repro.core.context_hash`, captured pre-refresh) are
-verified against it.  A restore refuses any home whose re-fit does not
-reproduce the recorded bytes — then re-interns the detectors in the
-restored gateway's shared-context store, so dedup (and copy-on-write
-refresh replay) survives a restart and any reshard.  Only the current
-manifest schema is accepted.
+entry's backend name and base-context **content hash**
+(:func:`~repro.core.context_hash`, captured pre-refresh) are verified
+against it.  A restore refuses any home whose re-fit does not reproduce
+the recorded bytes — then re-interns the detectors in the restored
+gateway's shared-context store under that hash, so dedup (and
+copy-on-write refresh replay) survives a restart and any reshard.  Only
+the current manifest schema is accepted.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ from typing import Dict, Optional, Union
 
 from .. import telemetry
 from ..core import DetectorBackend, DiceDetector, as_backend
-from ..streaming import CheckpointError, checkpoint_state, restore_runtime
-from ..streaming.checkpoint import check_snapshot
+from ..streaming import CheckpointError, checkpoint_state
+from ..streaming.checkpoint import check_snapshot, load_runtime
 from .gateway import FleetGateway
 
-MANIFEST_SCHEMA = "dice-fleet-manifest/4"
+MANIFEST_SCHEMA = "dice-fleet-manifest/5"
 MANIFEST_NAME = "manifest.json"
 
 _log = telemetry.get_logger("repro.fleet.checkpoint")
@@ -68,20 +69,12 @@ def save_fleet_checkpoint(
     """
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
-    homes: Dict[str, dict] = {}
-    for home_id in gateway.home_ids:
-        runtime = gateway.runtime_of(home_id)
-        homes[home_id] = {
-            "shard": gateway.shard_index_of(home_id),
-            # The content hash of the *base* trained context (pre-refresh),
-            # captured at runtime construction; restore validates the
-            # re-fitted detector against it byte-for-byte.
-            "context": getattr(runtime, "base_context_hash", None),
-            **checkpoint_state(runtime),
-        }
+    homes = {
+        home_id: checkpoint_state(gateway.runtime_of(home_id))
+        for home_id in gateway.home_ids
+    }
     manifest = {
         "schema": MANIFEST_SCHEMA,
-        "version": 1,
         "num_shards": gateway.num_shards,
         "homes": homes,
     }
@@ -179,36 +172,27 @@ def restore_fleet(
     # Validate every home against its supplied detector *before* restoring
     # anything: a mismatch should name its home up front, not explode
     # halfway through a partially-built gateway.
-    refit_hashes: Dict[str, str] = {}
     backends: Dict[str, DetectorBackend] = {}
     for home_id in sorted(homes):
-        entry = homes[home_id]
         backends[home_id] = backend = as_backend(detectors[home_id])
         try:
-            check_snapshot(backend, entry)
+            check_snapshot(backend, homes[home_id])
         except CheckpointError as exc:
             raise CheckpointError(f"home {home_id!r}: {exc}") from exc
-        recorded_hash = entry.get("context")
-        refit_hashes[home_id] = refit = backend.context_hash()
-        if refit != recorded_hash:
-            raise CheckpointError(
-                f"shared context mismatch for home {home_id!r}: the "
-                f"checkpoint recorded base context {recorded_hash}, but "
-                f"the supplied detector re-fit to {refit}"
-            )
     gateway = FleetGateway(
         num_shards=num_shards or manifest["num_shards"], metrics=metrics
     )
-    for home_id in sorted(homes):
-        backend = backends[home_id]
+    for home_id, backend in backends.items():
+        entry = homes[home_id]
         if backend.dice_detector is not None:
-            # Intern before replaying the snapshot: refresh-history re-apply
-            # must fork off the shared copy exactly as the original run did.
+            # Intern (under the hash just verified) before replaying the
+            # snapshot: refresh-history re-apply must fork off the shared
+            # copy exactly as the original run did.
             gateway.context_store.intern(
-                backend.dice_detector, key=refit_hashes[home_id]
+                backend.dice_detector, key=entry["context"]
             )
         gateway.add_runtime(
-            home_id, restore_runtime(backend, homes[home_id], **runtime_kwargs)
+            home_id, load_runtime(backend, entry, **runtime_kwargs)
         )
     fleet_counters = manifest.get("telemetry")
     if fleet_counters is not None and gateway.metrics.enabled:

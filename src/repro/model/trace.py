@@ -153,13 +153,6 @@ class Trace:
         for t, d, v in zip(self.timestamps, self.device_indices, self.values):
             yield Event(float(t), ids[d], float(v))
 
-    def event_at(self, i: int) -> Event:
-        return Event(
-            float(self.timestamps[i]),
-            self.registry.device_ids[self.device_indices[i]],
-            float(self.values[i]),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Trace({len(self)} events, {self.duration_hours:.1f} h, "

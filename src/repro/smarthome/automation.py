@@ -42,9 +42,6 @@ class SimulationContext:
     def night_spans(self) -> List[Span]:
         return complement(self.daylight, 0.0, self.horizon)
 
-    def room_occupancy(self, room: str) -> List[Span]:
-        return self.occupancy.get(room, [])
-
     def room_moving_occupancy(self, room: str) -> List[Span]:
         source = (
             self.moving_occupancy

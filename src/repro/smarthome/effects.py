@@ -12,7 +12,7 @@ ramps while the physical quantity moves, confirmations on settling, silence
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -101,10 +101,6 @@ class NumericSignalBuilder:
                 end = start + snap
         if end > start and delta != 0.0:
             self._effects.append((start, end, delta))
-
-    def add_intervals(self, intervals: Iterable[EffectInterval]) -> None:
-        for interval in intervals:
-            self.add(interval.start, interval.end, interval.delta)
 
     # ------------------------------------------------------------------ #
 

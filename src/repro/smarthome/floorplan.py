@@ -40,10 +40,6 @@ class FloorPlan:
         for a, b in doorways:
             self.connect(a, b)
 
-    @property
-    def room_names(self) -> List[str]:
-        return [room.name for room in self._rooms]
-
     def __contains__(self, name: str) -> bool:
         return name in self._adjacent
 

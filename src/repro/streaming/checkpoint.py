@@ -14,9 +14,10 @@ via ``repr``, which is shortest-round-trip in Python 3.
 
 The snapshot does **not** include the fitted detector model (fit artefacts
 are large and immutable; persist them separately) nor the alert history
-(alerts already raised have been delivered).  The backend name and model
-fingerprint it records guard against restoring state onto a different
-model.  Snapshots reach disk only inside a fleet checkpoint
+(alerts already raised have been delivered).  It records the backend name
+and the content hash of the base fitted model (``context``, captured
+before any refresh), and a restore refuses any detector that does not
+hash to it.  Snapshots reach disk only inside a fleet checkpoint
 (:mod:`repro.fleet.checkpoint`), one entry per home.
 """
 
@@ -26,11 +27,10 @@ from typing import Union
 
 from ..core import DetectorBackend, DiceDetector, as_backend
 
-#: The only snapshot version restore accepts.  Version 6 stores every
-#: backend's transient state in the shared ``DetectorBackend`` layout
-#: (``session``, ``session_trigger`` and a payload under the backend's
-#: name); snapshots written by earlier versions are rejected.
-CHECKPOINT_VERSION = 6
+#: The only snapshot version restore accepts.  Version 7 names its model
+#: by content hash alone (``context``); snapshots written by earlier
+#: versions are rejected.
+CHECKPOINT_VERSION = 7
 
 
 class CheckpointError(ValueError):
@@ -45,17 +45,13 @@ def checkpoint_state(runtime) -> dict:
     gateway restart); gauges and histograms are point-in-time/process-local
     and restart from zero.
     """
-    # The *base* fingerprint (captured at construction, before any context
-    # refresh added groups): restore fits the model fresh and re-applies
-    # the carried refresh history, so the snapshot must match the
-    # pre-refresh model, not the refreshed one.
-    fingerprint = getattr(runtime, "base_fingerprint", None)
-    if fingerprint is None:
-        fingerprint = runtime.backend.fingerprint()
+    # The *base* hash (captured at construction, before any context
+    # refresh): restore fits the model fresh and re-applies the carried
+    # refresh history, so the snapshot names the pre-refresh model.
     state = {
         "version": CHECKPOINT_VERSION,
         "backend": runtime.backend.name,
-        "model": fingerprint,
+        "context": runtime.base_context_hash,
         "runtime": runtime.state_dict(),
     }
     metrics = getattr(runtime, "metrics", None)
@@ -80,11 +76,11 @@ def check_snapshot(backend: DetectorBackend, state: dict) -> None:
             f"checkpoint was written by backend {recorded!r} but restore "
             f"targets backend {backend.name!r}"
         )
-    expected = backend.fingerprint()
-    if state.get("model") != expected:
+    expected = backend.context_hash()
+    if state.get("context") != expected:
         raise CheckpointError(
-            f"checkpoint was taken against a different model: "
-            f"{state.get('model')} != {expected}"
+            f"checkpoint was taken against a different model: context "
+            f"{state.get('context')} != {expected}"
         )
 
 
@@ -98,10 +94,16 @@ def restore_runtime(
     lateness/capacity and the supervisor policy, so those overrides only
     shape the runtime until its state loads.
     """
-    from .runtime import HardenedOnlineDice
-
     backend = as_backend(detector)
     check_snapshot(backend, state)
+    return load_runtime(backend, state, **runtime_kwargs)
+
+
+def load_runtime(backend: DetectorBackend, state: dict, **runtime_kwargs):
+    """:func:`restore_runtime` without the check: *state* must already
+    have passed :func:`check_snapshot` against *backend*."""
+    from .runtime import HardenedOnlineDice
+
     runtime = HardenedOnlineDice(backend, **runtime_kwargs)
     runtime.load_state(state["runtime"])
     telemetry_state = state.get("telemetry")

@@ -358,13 +358,10 @@ class HardenedOnlineDice(OnlineDice):
             ),
         )
         backend = self.backend
-        # Captured before any refresh mutates the model: checkpoints match
-        # snapshots against the *base* fitted model, then re-apply the
-        # carried refresh history on restore.
-        self.base_fingerprint = backend.fingerprint()
-        # Content hash of the same base state; fleet manifests record it so
-        # a restore can prove the re-fitted detector is byte-for-byte the
-        # one the checkpoint was taken against.
+        # The content hash of the *base* fitted model, captured before any
+        # refresh mutates it: a checkpoint records it, and a restore proves
+        # the re-fitted detector is byte-for-byte that model before it
+        # re-applies the carried refresh history.
         self.base_context_hash = backend.context_hash()
         # While draining staged windows, the quarantine bits captured at
         # staging time; ``None`` outside a drain (live bits are used).

@@ -106,11 +106,10 @@ class DeviceSupervisor:
     ) -> None:
         self.registry = registry
         self.policy = policy
-        self.start = float(start)
         self._health: Dict[str, DeviceHealth] = {}
         for device in registry:
             if device.is_sensor or policy.watch_actuators:
-                self._health[device.device_id] = DeviceHealth(last_seen=self.start)
+                self._health[device.device_id] = DeviceHealth(last_seen=float(start))
         self._metrics = telemetry.NULL_REGISTRY if metrics is None else metrics
         self._transitions_counter = self._metrics.counter(
             TRANSITIONS_TOTAL,
@@ -258,7 +257,6 @@ class DeviceSupervisor:
 
     def state_dict(self) -> dict:
         return {
-            "start": self.start,
             "policy": {
                 "silence_seconds": self.policy.silence_seconds,
                 "quarantine_seconds": self.policy.quarantine_seconds,
@@ -278,7 +276,6 @@ class DeviceSupervisor:
         }
 
     def load_state(self, state: dict) -> None:
-        self.start = float(state["start"])
         self.policy = SupervisorPolicy(**state["policy"])
         for device_id, data in state["devices"].items():
             health = self._health.get(device_id)

@@ -18,13 +18,14 @@ agree) and a compact, schema-versioned evidence record:
 * event-time detection latency (alert time minus the violating window's
   close).
 
-Records are held in a bounded per-home ring buffer and are **byte
-deterministic**: every field derives from event time and fitted state,
-never wall clock, so two identical runs — or a run cut by a checkpoint, or
-a crash-recovery replay — produce identical records.  The durability layer
-journals them next to the alerts; ``repro explain`` renders one as a causal
-narrative.  :data:`NULL_PROVENANCE` is the disabled twin (cf.
-``NULL_REGISTRY``): recording costs nothing when off.
+Records wait in one bounded per-home buffer until an archive takes them,
+and are **byte deterministic**: every field derives from event time and
+fitted state, never wall clock, so two identical runs — or a run cut by a
+checkpoint, or a crash-recovery replay — produce identical records.  The
+durability layer drains them into an archive next to the alerts; ``repro
+explain`` renders one as a causal narrative.  :data:`NULL_PROVENANCE` is
+the disabled twin (cf. ``NULL_REGISTRY``): recording costs nothing when
+off.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from typing import Deque, List, Optional
 
 PROVENANCE_SCHEMA = "dice-provenance/1"
 
-#: Default ring-buffer capacity: the most recent alerts whose evidence an
-#: operator can still pull from a live (non-durable) runtime.
+#: Default buffer capacity: the most recent alerts whose evidence an
+#: operator can still pull from a live runtime that nothing drains.
 DEFAULT_CAPACITY = 256
 
 
@@ -48,7 +49,7 @@ def alert_body(home_id: str, seq: int, alert) -> dict:
     ``devices``/``converged``) so this module stays import-cycle-free of
     the streaming layer.  The durable outbox builds its delivery records
     from the same body, which is what makes :func:`trace_id` stable across
-    the in-memory ring, the provenance journal and the outbox WAL.
+    the in-memory buffer, the provenance journal and the outbox WAL.
     """
     return {
         "home": home_id,
@@ -89,6 +90,12 @@ class ProvenanceRecorder:
     the alerts the runtime emits, which provably matches the durable
     layer's ``alert_seq`` (both count the same alerts in the same order) —
     so the trace id computed here equals the outbox record id.
+
+    Sealed records wait in one bounded buffer until
+    :meth:`drain_unjournaled` hands them to an archive.  A runtime that
+    nothing drains keeps its newest ``capacity`` records there (and in its
+    checkpoints); a durable one drains after every dispatch, so its
+    buffer — and its checkpoints — hold only records no archive has.
     """
 
     enabled = True
@@ -101,10 +108,8 @@ class ProvenanceRecorder:
         self.home_id = home_id
         self.capacity = int(capacity)
         self.seq = 0
-        self._ring: Deque[dict] = deque(maxlen=self.capacity)
-        #: Records not yet drained by a durability layer.  Bounded like the
-        #: ring so a non-durable runtime (nothing ever drains) stays flat.
-        self._unjournaled: Deque[dict] = deque(maxlen=self.capacity)
+        #: Records no archive has taken yet, oldest first.
+        self._records: Deque[dict] = deque(maxlen=self.capacity)
         #: Open-session window evidence, oldest first (trigger window → the
         #: window that concludes the identification).
         self.chain: List[dict] = []
@@ -119,7 +124,7 @@ class ProvenanceRecorder:
         latency: float = 0.0,
         context: Optional[dict] = None,
     ) -> dict:
-        """Seal one alert's evidence record and append it to the ring."""
+        """Seal one alert's evidence record and append it to the buffer."""
         self.seq += 1
         body = alert_body(self.home_id, self.seq, alert)
         record = {
@@ -130,52 +135,50 @@ class ProvenanceRecorder:
             "context": dict(context) if context else {},
             "windows": list(windows),
         }
-        self._ring.append(record)
-        self._unjournaled.append(record)
+        self._records.append(record)
         return record
 
     def records(self) -> List[dict]:
-        """Retained records, oldest first."""
-        return list(self._ring)
+        """Buffered records, oldest first."""
+        return list(self._records)
 
     def last(self) -> Optional[dict]:
-        return self._ring[-1] if self._ring else None
+        return self._records[-1] if self._records else None
 
     def find(self, selector: str) -> Optional[dict]:
-        """Newest retained record whose trace id starts with *selector*."""
-        for record in reversed(self._ring):
+        """Newest buffered record whose trace id starts with *selector*."""
+        for record in reversed(self._records):
             if record["id"].startswith(selector):
                 return record
         return None
 
     def drain_unjournaled(self) -> List[dict]:
-        """Hand pending records to a durability layer (clears the queue)."""
-        drained = list(self._unjournaled)
-        self._unjournaled.clear()
+        """Hand the buffered records to an archive (empties the buffer)."""
+        drained = list(self._records)
+        self._records.clear()
         return drained
 
     # -- checkpoint support ---------------------------------------------- #
 
     def state_dict(self) -> dict:
-        """JSON-serializable state: seq, retained records, open chain."""
+        """JSON-serializable state: seq, buffered records, open chain."""
         return {
-            "capacity": self.capacity,
             "seq": self.seq,
-            "records": list(self._ring),
+            "records": list(self._records),
             "chain": list(self.chain),
         }
 
     def load_state(self, state: Optional[dict]) -> None:
         """Restore from :meth:`state_dict`; ``None`` (a snapshot taken with
-        provenance off) resets to empty."""
-        self._ring.clear()
-        self._unjournaled.clear()
+        provenance off) resets to empty.  Restored records stay buffered,
+        so the next drain archives them (an archive dedups by id)."""
+        self._records.clear()
         self.chain = []
         self.seq = 0
         if state is None:
             return
         self.seq = int(state["seq"])
-        self._ring.extend(state["records"])
+        self._records.extend(state["records"])
         self.chain = list(state["chain"])
 
 

@@ -62,9 +62,6 @@ class ScriptedChild(DetectorBackend):
     def identify(self, verdict, snapshot):
         return ProbableFaultSet(self._devices)
 
-    def fingerprint(self):
-        return {"backend": self.name}
-
     def context_hash(self):
         return self.name
 

@@ -11,6 +11,7 @@ per-window violation decision, quarantine included.
 import random
 
 from repro.core.backend import MarkovBackend, _BatchWindow
+from repro.core.config import MIN_ROW_OBSERVATIONS
 from tests.backends.conftest import (
     PERTURBATIONS,
     SEED,
@@ -103,7 +104,7 @@ def _deployment(rng, trial):
 
 def _oracle_for(backend, registry, training):
     oracle = ScalarMarkovOracle(
-        registry, backend.encoder.layout, backend.config.min_row_observations
+        registry, backend.encoder.layout, MIN_ROW_OBSERVATIONS
     )
     oracle.train(backend.encode_window(training))
     return oracle

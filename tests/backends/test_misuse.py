@@ -1,8 +1,8 @@
 """Misuse errors: every wrong-backend path fails loud, early, and named.
 
-The contract: an unknown backend name — in config, in ``create_backend``,
-or on the CLI — produces one line naming the valid backends (CLI exit
-code 2); restoring a checkpoint written by a different backend raises
+The contract: an unknown backend name — in ``create_backend`` or on the
+CLI — produces one line naming the valid backends (CLI exit code 2);
+restoring a checkpoint written by a different backend raises
 :class:`CheckpointError` naming both backends; a backend state that lost
 its payload raises ``KeyError`` instead of restoring fresh state.
 """
@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.cli import main
-from repro.core import DiceConfig, available_backends, create_backend
+from repro.core import available_backends, create_backend
 from repro.streaming import (
     CheckpointError,
     HardenedOnlineDice,
@@ -22,14 +22,6 @@ from tests.backends.conftest import SEED, build_deployment, fit_backend
 
 
 class TestUnknownBackendName:
-    def test_config_rejects_unknown_backend(self):
-        with pytest.raises(ValueError) as excinfo:
-            DiceConfig(backend="nope")
-        message = str(excinfo.value)
-        assert "nope" in message
-        for name in available_backends():
-            assert name in message
-
     def test_create_backend_rejects_unknown_name(self):
         rng = random.Random(SEED)
         registry, _, _ = build_deployment(rng)

@@ -19,7 +19,6 @@ class TestValidation:
             {"num_faults": 0},
             {"max_candidate_distance": 0},
             {"max_identification_windows": 0},
-            {"min_row_observations": 0},
             {"min_group_observations": 0},
         ],
     )

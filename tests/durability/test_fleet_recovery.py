@@ -11,7 +11,7 @@ import stat
 
 import pytest
 
-from repro.durability import DurableFleetGateway, EventJournal
+from repro.durability import DurableFleetGateway, EventJournal, ProvenanceLog
 from repro.streaming import CheckpointError
 from repro.faults import (
     build_chaos_fleet,
@@ -21,6 +21,7 @@ from repro.faults import (
 )
 from repro.faults.crash import SimulatedCrash, _fresh_fleet, run_fleet_oracle
 from repro.fleet import MANIFEST_NAME, MANIFEST_SCHEMA
+from repro.telemetry.provenance import alert_body, trace_id
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,32 @@ class TestRecoverGuards:
         assert manifest["schema"] == MANIFEST_SCHEMA
         durability = manifest["durability"]
         assert set(durability["journal_epochs"]) == {d.home_id for d in deployments}
+
+    def test_checkpoint_leaves_evidence_to_the_archive(self, fleet, tmp_path):
+        # Each home's evidence is drained into its provenance.wal as it is
+        # sealed, so a durable checkpoint carries none of it.
+        deployments, merged, _ = fleet
+        detectors = {dep.home_id: dep.fit_detector() for dep in deployments}
+        journals = tmp_path / "journals"
+        durable = DurableFleetGateway(
+            _fresh_fleet(deployments, detectors, 2), journals
+        )
+        raised = durable.dispatch(merged[: len(merged) // 2])
+        durable.save_checkpoint(tmp_path / "ckpt")
+        durable.close()
+        assert raised, "scenario must raise alerts"
+        with open(tmp_path / "ckpt" / MANIFEST_NAME, "r", encoding="utf-8") as handle:
+            homes = json.load(handle)["homes"]
+        for dep in deployments:
+            entry = homes[dep.home_id]
+            assert entry["runtime"]["provenance"]["records"] == []
+            alerts = [a.alert for a in raised if a.home_id == dep.home_id]
+            expected = [
+                trace_id(alert_body(dep.home_id, seq, alert))
+                for seq, alert in enumerate(alerts, start=1)
+            ]
+            archived = ProvenanceLog(journals / dep.home_id).records()
+            assert [record["id"] for record in archived] == expected
 
     def test_health_reports_per_home_epochs(self, fleet, tmp_path):
         deployments, merged, _ = fleet

@@ -234,7 +234,13 @@ def markov_document() -> dict:
             },
         },
         "model": {
-            "fingerprint": backend.fingerprint(),
+            "fingerprint": {
+                "backend": backend.name,
+                "num_bits": backend.encoder.layout.num_bits,
+                "window_seconds": backend.encoder.window_seconds,
+                "num_devices": len(backend.registry),
+                "num_chains": len(backend._chains),
+            },
             "context_hash": backend.context_hash(),
         },
         "alerts": [

@@ -229,7 +229,7 @@ class TestCheckpointFile:
         _save_one_home(runtime, tmp_path)
         state = _load_one_home(tmp_path)
         # Only the current version restores; every earlier one is refused.
-        for version in (1, 2, 3, 4, 5, 999):
+        for version in (1, 2, 3, 4, 5, 6, 999):
             state["version"] = version
             with pytest.raises(CheckpointError, match=f"version {version} "):
                 restore_runtime(detector, state)
@@ -237,9 +237,35 @@ class TestCheckpointFile:
     def test_model_mismatch_rejected(self, detector, registry, tmp_path):
         runtime = _runtime(detector, 0.0)
         state = runtime.checkpoint()
-        state["model"]["num_groups"] = state["model"]["num_groups"] + 1
+        state["context"] = "0" * 32
         with pytest.raises(CheckpointError):
             restore_runtime(detector, state)
+
+    def test_restore_refuses_content_drift(self):
+        # A refresh that adds no group changes only counts: the target
+        # below has the snapshot model's bit, group and device counts and
+        # window length, and differs only in one more observation of
+        # group 0.  Re-applying the snapshot's refresh history onto such a
+        # detector would count that history twice, so restore must refuse.
+        from repro.datasets import load_dataset
+
+        trace = load_dataset("houseA", seed=3, hours=31.0).trace
+        split = trace.start + 30.0 * HOUR
+
+        def fit():
+            return DiceDetector(trace.registry).fit(trace.slice(trace.start, split))
+
+        runtime = HardenedOnlineDice(fit(), start=split)
+        runtime.ingest_many(list(trace.slice(split, trace.end)))
+        snapshot = json.loads(json.dumps(runtime.checkpoint()))
+        drifted = fit()
+        groups = drifted.model.groups
+        num_groups = len(groups)
+        groups.add(groups.mask_of(0))
+        assert len(groups) == num_groups
+        with pytest.raises(CheckpointError, match="different model"):
+            restore_runtime(drifted, snapshot)
+        restore_runtime(fit(), snapshot)  # an exact refit still restores
 
     def test_not_a_checkpoint_rejected(self, detector):
         with pytest.raises(CheckpointError):
@@ -269,7 +295,7 @@ class TestCheckpointFile:
         assert runtime.provenance.records(), "scenario must record evidence"
         _save_one_home(runtime, tmp_path)
         state = _load_one_home(tmp_path)
-        assert state["version"] == CHECKPOINT_VERSION == 6
+        assert state["version"] == CHECKPOINT_VERSION == 7
         assert state["runtime"]["provenance"] is not None
         resumed = restore_runtime(detector, _load_one_home(tmp_path))
         assert [

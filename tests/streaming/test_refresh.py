@@ -205,7 +205,7 @@ class TestCheckpointWithRefresh:
         self, registry, drifted_trace
     ):
         # Restoring against the *already refreshed* detector would
-        # double-apply the history; the fingerprint check refuses it.
+        # double-apply the history; the content-hash check refuses it.
         start, end = 3.0 * HOUR, drifted_trace.end
         runtime = _runtime(_fit(registry, drifted_trace), ENABLED)
         runtime.replay(drifted_trace.slice(start, end))

@@ -113,8 +113,10 @@ class TestRecorder:
         assert restored.seq == rec.seq
         assert restored.records() == rec.records()
         assert restored.chain == rec.chain
-        # Restored records are already archived: nothing to re-journal.
-        assert restored.drain_unjournaled() == []
+        # Restored records wait for an archive like fresh ones: the next
+        # drain hands them over (an archive dedups by id).
+        assert restored.drain_unjournaled() == rec.records()
+        assert restored.records() == []
 
     def test_load_state_none_resets(self):
         rec = ProvenanceRecorder()

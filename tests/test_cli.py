@@ -183,6 +183,35 @@ class TestStream:
         assert "resumed from checkpoint + journal tail" in captured.err
         assert "streamed" in captured.out
 
+    def test_provenance_out_without_journal_keeps_every_record(
+        self, tmp_path, capsys
+    ):
+        # 170 live hours raise more alerts than the runtime's evidence
+        # buffer holds: without a journal the file must still list every
+        # record, byte-equal to what a journaled run archives.
+        from repro.telemetry.provenance import DEFAULT_CAPACITY
+
+        args = [
+            "stream", "houseA",
+            "--hours", "200", "--train-hours", "30", "--seed", "3",
+        ]
+        plain = tmp_path / "plain.jsonl"
+        journaled = tmp_path / "journaled.jsonl"
+        assert main(args + ["--provenance-out", str(plain)]) == 0
+        assert main(
+            args
+            + ["--journal-dir", str(tmp_path / "wal"),
+               "--provenance-out", str(journaled)]
+        ) == 0
+        capsys.readouterr()
+        seqs = [
+            json.loads(line)["alert"]["seq"]
+            for line in plain.read_text().splitlines()
+        ]
+        assert len(seqs) > DEFAULT_CAPACITY
+        assert seqs == list(range(1, len(seqs) + 1))
+        assert plain.read_bytes() == journaled.read_bytes()
+
     def test_corrupt_checkpoint_is_one_actionable_line(self, tmp_path, capsys):
         import json
 
