@@ -1153,7 +1153,7 @@ def _cmd_send(args) -> int:
         if args.faults:
             import numpy as np
 
-            from .faults import NetFaultInjector
+            from .faults.net import NetFaultInjector
 
             injector = NetFaultInjector(
                 np.random.default_rng(args.fault_seed * 7919 + index)

@@ -16,13 +16,16 @@ one, so this is the only durable path:
   may end in a torn record, and replay stops there);
 * fleet alerts get per-home sequence numbers and flow into one shared
   :class:`~repro.durability.outbox.AlertOutbox`, with home-qualified ids;
-* :meth:`save_checkpoint` writes the fleet checkpoint — one
-  ``manifest.json`` that also carries a ``durability`` block (per-home
-  journal epochs, alert and ingest sequences) — then rotates and
-  truncates every home journal;
+* :meth:`save_checkpoint` syncs the journals and the side logs, writes
+  the fleet checkpoint — one ``manifest.json`` that also carries a
+  ``durability`` block (per-home journal epochs, alert and ingest
+  sequences) — then rotates and truncates every home journal;
 * :meth:`recover` = restore fleet checkpoint + replay every home's
   journal tail, home by home — per-home alert streams are reproduced
-  exactly for any shard count (chaos-harness pinned).
+  exactly for any shard count (chaos-harness pinned).  The replay
+  publishes as it goes, like a live dispatch: each replayed event's
+  alerts are offered to the outbox, and their evidence archived, before
+  the next event replays.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ from ..fleet import (
     restore_fleet,
     save_fleet_checkpoint,
 )
-from .journal import EventJournal, replay_records
+from .journal import EventJournal, replay_records, sync_file
 from .outbox import AlertOutbox, alert_record
-from .provenance import ProvenanceLog
+from .provenance import PROVENANCE_WAL, ProvenanceLog
 from .runtime import (
     RECOVERY_BUCKETS,
     RECOVERY_SECONDS_HISTOGRAM,
@@ -216,14 +219,21 @@ class DurableFleetGateway:
         """Fleet checkpoint with its durability block, then rotate/truncate.
 
         Order is the crash-safety argument: journals are synced first
-        (every event the checkpoint accounts for is on disk), then the one
-        manifest is written and made durable by a single rename, and only
-        then are superseded segments dropped — a crash at any point leaves
-        either the old checkpoint with its full journals, or the new one
-        with at worst some not-yet-truncated (ignored) segments.
+        (every event the checkpoint accounts for is on disk), then the side
+        logs (each home's ``provenance.wal``, the outbox journal and its
+        ack log), whose records only the soon-dropped segments could
+        regenerate; then the one manifest is written and made durable by a
+        single rename, and only then are superseded segments dropped — a
+        crash at any point leaves either the old checkpoint with its full
+        journals, or the new one with at worst some not-yet-truncated
+        (ignored) segments.
         """
         for journal in self.journals.values():
             journal.sync()
+        for home_id in self.journals:
+            sync_file(os.path.join(self.journal_root, home_id, PROVENANCE_WAL))
+        if self.outbox is not None:
+            self.outbox.sync()
         epochs = {
             home_id: journal.epoch for home_id, journal in self.journals.items()
         }
@@ -263,6 +273,13 @@ class DurableFleetGateway:
         must supply a freshly built *gateway* to replay into (the
         crashed-before-first-checkpoint case).
 
+        Every home's tail is validated and its torn record cut before any
+        journal opens.  The tail then replays through the home runtime's
+        ``ingest``, one event at a time, and each event's alerts are
+        published at once: the outbox dedups offers it already holds and
+        the archive records it already has, so a restart re-writes exactly
+        what the crash lost and holds no more than one event's evidence.
+
         Returns ``(durable_fleet, replayed_alerts)``.
         """
         t0 = time.perf_counter()
@@ -287,42 +304,43 @@ class DurableFleetGateway:
                 "no fleet checkpoint to restore and no fresh gateway supplied"
             )
         epochs = durability.get("journal_epochs", {})
-        ingest_seqs = dict(durability.get("ingest_seqs", {}))
-        # Replay every home's tail before the journals open: a torn tail is
+        # Cut every home's tail before the journals open: a torn tail is
         # legal only in the newest segment, and opening a journal over old
-        # segments starts a fresh one.  The tail streams from disk, one
+        # segments starts a fresh one.  A tail streams from disk, one
         # decoded record at a time.
-        replayed: List[FleetAlert] = []
-        total_records = 0
-        for home_id in gateway.home_ids:
-            runtime = gateway.runtime_of(home_id)
-            tail, _ = replay_records(
+        tails = {
+            home_id: replay_records(
                 os.path.join(os.fspath(journal_root), home_id),
                 after_epoch=epochs.get(home_id, -1),
-                metrics=runtime.metrics,
-            )
-            total_records += len(tail)
-            replayed_events = 0
-            for record in tail:
-                if record.get("type") != "event":
-                    continue
-                replayed_events += 1
-                for alert in runtime.ingest(record_to_event(record)):
-                    replayed.append(FleetAlert(home_id, alert))
-            if replayed_events:
-                # The journal tail holds events appended after the
-                # checkpoint — the resume sequence advances past them.
-                ingest_seqs[home_id] = ingest_seqs.get(home_id, 0) + replayed_events
-        gateway.alerts.extend(replayed)
+                metrics=gateway.runtime_of(home_id).metrics,
+            )[0]
+            for home_id in gateway.home_ids
+        }
         durable = cls(
             gateway,
             journal_root,
             fsync=fsync,
             outbox=outbox,
             alert_seqs=durability.get("alert_seqs", {}),
-            ingest_seqs=ingest_seqs,
+            ingest_seqs=durability.get("ingest_seqs", {}),
         )
-        durable._publish(replayed)
+        # Publish per replayed event, as a live dispatch publishes its
+        # batch: the recorder's buffer is bounded, so it must never have to
+        # hold a whole tail's evidence.
+        replayed: List[FleetAlert] = []
+        for home_id, tail in tails.items():
+            runtime = gateway.runtime_of(home_id)
+            for record in tail:
+                if record.get("type") != "event":
+                    continue
+                # The tail holds events journaled after the checkpoint: the
+                # resume sequence advances past each one.
+                durable.ingest_seqs[home_id] = durable.ingest_seqs.get(home_id, 0) + 1
+                alerts = runtime.ingest(record_to_event(record))
+                if alerts:
+                    fresh = [FleetAlert(home_id, alert) for alert in alerts]
+                    gateway.alerts.extend(fresh)
+                    replayed.extend(durable._publish(fresh))
         elapsed = time.perf_counter() - t0
         gateway.metrics.histogram(
             RECOVERY_SECONDS_HISTOGRAM,
@@ -333,7 +351,7 @@ class DurableFleetGateway:
             "fleet_recovered",
             journal_root=os.fspath(journal_root),
             homes=len(gateway),
-            replayed=total_records,
+            replayed=sum(len(tail) for tail in tails.values()),
             seconds=round(elapsed, 6),
         )
         return durable, replayed

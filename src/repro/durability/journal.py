@@ -180,6 +180,22 @@ def read_segment(path: PathLike) -> Tuple[List[dict], bool]:
     return records, reader.torn
 
 
+def sync_file(path: PathLike) -> None:
+    """Fsync the file at *path*; a missing file has nothing to sync.
+
+    For the side logs, whose appends open and close their file: no handle
+    outlives a write, so a sync opens the file again.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def segment_name(epoch: int) -> str:
     return f"{SEGMENT_PREFIX}{epoch:08d}{SEGMENT_SUFFIX}"
 

@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Set, Union
 from .. import telemetry
 from ..streaming import Alert
 from ..telemetry.provenance import alert_body, trace_id
-from .journal import SegmentReader, encode_record
+from .journal import SegmentReader, encode_record, sync_file
 
 PathLike = Union[str, os.PathLike]
 
@@ -263,6 +263,12 @@ class AlertOutbox:
         if record["id"] not in self._acked:
             self._pending[record["id"]] = record
         return True
+
+    def sync(self) -> None:
+        """Fsync the outbox journal and the ack log, which their appends
+        leave to the OS page cache."""
+        sync_file(self._wal_path)
+        sync_file(self._acks_path)
 
     def _ack(self, record_id: str, outcome: str) -> None:
         with open(self._acks_path, "ab") as handle:

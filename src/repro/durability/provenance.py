@@ -19,7 +19,11 @@ tail, the runtime regenerates byte-identical evidence records (everything
 in them derives from event time and fitted state), and the log skips ids
 it already holds — so a record written before the crash is never
 duplicated, and one lost in a torn tail is simply re-written from the
-replay.
+replay.  The durable gateway drains the recorder after each replayed
+event, as it does after each live dispatch, so however many alerts a
+tail raises, none of their records falls out of the recorder's bounded
+buffer before it reaches this log.  A checkpoint fsyncs the log before
+its manifest supersedes the journal segments that could regenerate it.
 """
 
 from __future__ import annotations

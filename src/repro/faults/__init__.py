@@ -1,4 +1,10 @@
-"""Fault injection (Ch. IV.2) and security attacks (Ch. VI)."""
+"""Fault injection (Ch. IV.2) and security attacks (Ch. VI).
+
+The chaos harnesses are imported from their own modules,
+:mod:`repro.faults.crash` and :mod:`repro.faults.net`: they drive the
+durable gateway and the ingest service, and re-exporting them here would
+load those stacks into every importer of the fault models.
+"""
 
 from .attacks import (
     Attack,
@@ -16,29 +22,7 @@ from .drift import (
     inject_device_replacement,
     inject_seasonal_shift,
 )
-from .crash import (
-    ChaosDeployment,
-    ChaosReport,
-    CrashTrialResult,
-    build_chaos_deployment,
-    build_chaos_fleet,
-    canonical_alerts,
-    canonical_provenance,
-    fleet_oracle,
-    one_home_stream,
-    run_chaos_fleet,
-    run_chaos_one_home,
-    run_fleet_trial,
-    tear_final_record,
-)
 from .injector import FaultInjector, InjectionPolicy
-from .net import (
-    NetFaultInjector,
-    NetFaultSpec,
-    SimulatedDisconnect,
-    run_chaos_service,
-    run_service_trial,
-)
 from .models import (
     ALL_FAULT_TYPES,
     NON_FAIL_STOP_TYPES,
@@ -72,19 +56,6 @@ from .segments import (
 )
 
 __all__ = [
-    "ChaosDeployment",
-    "ChaosReport",
-    "CrashTrialResult",
-    "build_chaos_deployment",
-    "build_chaos_fleet",
-    "canonical_alerts",
-    "canonical_provenance",
-    "fleet_oracle",
-    "one_home_stream",
-    "run_chaos_fleet",
-    "run_chaos_one_home",
-    "run_fleet_trial",
-    "tear_final_record",
     "ALL_PIPE_FAULT_TYPES",
     "PipeFaultInjector",
     "PipeFaultSpec",
@@ -109,11 +80,6 @@ __all__ = [
     "inject_seasonal_shift",
     "FaultInjector",
     "InjectionPolicy",
-    "NetFaultInjector",
-    "NetFaultSpec",
-    "SimulatedDisconnect",
-    "run_chaos_service",
-    "run_service_trial",
     "ALL_FAULT_TYPES",
     "NON_FAIL_STOP_TYPES",
     "FaultType",

@@ -94,8 +94,9 @@ class ProvenanceRecorder:
     Sealed records wait in one bounded buffer until
     :meth:`drain_unjournaled` hands them to an archive.  A runtime that
     nothing drains keeps its newest ``capacity`` records there (and in its
-    checkpoints); a durable one drains after every dispatch, so its
-    buffer — and its checkpoints — hold only records no archive has.
+    checkpoints); a durable one drains after every dispatch and every
+    replayed event, so its buffer — and its checkpoints — hold only
+    records no archive has.
     """
 
     enabled = True

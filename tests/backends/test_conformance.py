@@ -28,7 +28,7 @@ import pytest
 from repro import telemetry
 from repro.core import create_backend
 from repro.core.backend import _SegmentWindows
-from repro.faults import (
+from repro.faults.crash import (
     build_chaos_deployment,
     fleet_oracle,
     one_home_stream,

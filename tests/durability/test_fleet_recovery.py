@@ -11,17 +11,33 @@ import stat
 
 import pytest
 
-from repro.durability import DurableFleetGateway, EventJournal, ProvenanceLog
+from repro import telemetry
+from repro.durability import (
+    AlertOutbox,
+    CallbackSink,
+    DurableFleetGateway,
+    EventJournal,
+    ProvenanceLog,
+)
+from repro.durability.outbox import ACKS_WAL, OUTBOX_WAL
+from repro.durability.provenance import PROVENANCE_WAL
+from repro.faults import FaultType
 from repro.streaming import CheckpointError
-from repro.faults import (
+from repro.faults.crash import (
+    LATENESS_SECONDS,
+    POLICY,
+    SimulatedCrash,
+    _fresh_fleet,
+    build_chaos_deployment,
     build_chaos_fleet,
     fleet_oracle,
+    one_home_stream,
     run_chaos_fleet,
+    run_fleet_oracle,
     run_fleet_trial,
 )
-from repro.faults.crash import SimulatedCrash, _fresh_fleet, run_fleet_oracle
-from repro.fleet import MANIFEST_NAME, MANIFEST_SCHEMA
-from repro.telemetry.provenance import alert_body, trace_id
+from repro.fleet import MANIFEST_NAME, MANIFEST_SCHEMA, FleetGateway
+from repro.telemetry.provenance import ProvenanceRecorder, alert_body, trace_id
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +157,52 @@ class TestRecoverGuards:
             ]
             archived = ProvenanceLog(journals / dep.home_id).records()
             assert [record["id"] for record in archived] == expected
+
+    def test_replay_archives_evidence_past_the_buffer(self, tmp_path):
+        # A tail that raises more alerts than the recorder buffers: each
+        # replayed event's evidence reaches the archive before the next
+        # event replays, so recovery re-writes every record the archive
+        # lost, not only the newest ``capacity`` of them.
+        dep = build_chaos_deployment(42, fault_class=FaultType.HIGH_NOISE)
+        home, stream = dep.home_id, one_home_stream(dep)
+        detectors = {home: dep.fit_detector()}
+        runtime_kwargs = dict(lateness_seconds=LATENESS_SECONDS, policy=POLICY)
+        gateway = FleetGateway(1, metrics=telemetry.NULL_REGISTRY)
+        gateway.add_home(
+            home, detectors[home], start=dep.split,
+            provenance=ProvenanceRecorder(capacity=4), **runtime_kwargs,
+        )
+        journals, ckpt = tmp_path / "journals", tmp_path / "ckpt"
+        durable = DurableFleetGateway(gateway, journals)
+        cut = len(stream) // 3
+        # One event per dispatch, so the live run never overflows the buffer.
+        for item in stream[:cut]:
+            durable.dispatch([item])
+        durable.save_checkpoint(ckpt)
+        wal = journals / home / PROVENANCE_WAL
+        archived_at_checkpoint = wal.stat().st_size if wal.exists() else 0
+        checkpoint_seq = durable.alert_seqs.get(home, 0)
+        tail_alerts = []
+        for item in stream[cut:]:
+            tail_alerts.extend(durable.dispatch([item]))
+        durable.close()
+        assert len(tail_alerts) > 4, "the tail must overflow the buffer"
+        with open(wal, "r+b") as handle:
+            handle.truncate(archived_at_checkpoint)
+
+        recovered, replayed = DurableFleetGateway.recover(
+            detectors, journals, checkpoint_dir=ckpt,
+            provenance=ProvenanceRecorder(capacity=4), **runtime_kwargs,
+        )
+        recovered.close()
+        assert len(replayed) == len(tail_alerts)
+        archived = {record["id"] for record in ProvenanceLog(journals / home).records()}
+        missing = [
+            seq
+            for seq, fleet_alert in enumerate(replayed, start=checkpoint_seq + 1)
+            if trace_id(alert_body(home, seq, fleet_alert.alert)) not in archived
+        ]
+        assert missing == []
 
     def test_health_reports_per_home_epochs(self, fleet, tmp_path):
         deployments, merged, _ = fleet
@@ -269,3 +331,45 @@ class TestKillInsideSave:
         assert calls[rename + 1] == ("fsync", True, os.stat(ckpt).st_ino)
         assert kinds.index("truncate") > rename + 1
         assert kinds.count("truncate") == len(deployments)
+
+    def test_side_logs_are_synced_before_the_rename(
+        self, fleet, tmp_path, monkeypatch
+    ):
+        # The segments a checkpoint drops are what could regenerate the
+        # evidence records and alert offers, so every side log reaches the
+        # disk before the manifest that supersedes them.
+        deployments, merged, _ = fleet
+        detectors = {dep.home_id: dep.fit_detector() for dep in deployments}
+        journals = tmp_path / "journals"
+        outbox = AlertOutbox(tmp_path / "outbox", CallbackSink(lambda _record: None))
+        durable = DurableFleetGateway(
+            _fresh_fleet(deployments, detectors, 2), journals, outbox=outbox
+        )
+        assert durable.dispatch(merged[: len(merged) // 4])
+        durable.deliver_pending()
+        assert durable.dispatch(merged[len(merged) // 4 : len(merged) // 2])
+        assert outbox.pending, "an unacked offer must be at stake"
+
+        def inode(path):
+            return os.stat(path).st_ino
+
+        segments = [inode(j.current_segment_path) for j in durable.journals.values()]
+        wals = [
+            inode(journals / home_id / PROVENANCE_WAL)
+            for home_id in durable.journals
+            if os.path.exists(journals / home_id / PROVENANCE_WAL)
+        ]
+        assert wals, "some home must have archived evidence"
+        outbox_logs = [inode(tmp_path / "outbox" / name) for name in (OUTBOX_WAL, ACKS_WAL)]
+        spy = _SaveSpy(monkeypatch)
+        ckpt = tmp_path / "ckpt"
+        durable.save_checkpoint(ckpt)
+        monkeypatch.undo()
+        durable.close()
+
+        kinds = [call[0] for call in spy.log]
+        rename = kinds.index("replace")
+        synced = [call[2] for call in spy.log[:rename] if call[:2] == ("fsync", False)]
+        assert synced == [
+            *segments, *wals, *outbox_logs, inode(ckpt / MANIFEST_NAME)
+        ]

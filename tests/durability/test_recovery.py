@@ -12,9 +12,13 @@ import numpy as np
 import pytest
 
 from repro.durability import DurableFleetGateway, replay_records
-from repro.faults import (
-    ALL_FAULT_TYPES,
-    FaultType,
+from repro.faults import ALL_FAULT_TYPES, FaultType
+from repro.faults.crash import (
+    ALERTS_TOTAL,
+    LATENESS_SECONDS,
+    POLICY,
+    _counter_total,
+    _fresh_fleet,
     build_chaos_deployment,
     canonical_alerts,
     fleet_oracle,
@@ -22,13 +26,6 @@ from repro.faults import (
     run_chaos_one_home,
     run_fleet_trial,
     tear_final_record,
-)
-from repro.faults.crash import (
-    ALERTS_TOTAL,
-    LATENESS_SECONDS,
-    POLICY,
-    _counter_total,
-    _fresh_fleet,
 )
 
 

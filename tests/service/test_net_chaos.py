@@ -10,8 +10,8 @@ import os
 
 import pytest
 
-from repro.faults import run_chaos_service, run_service_trial
 from repro.faults.crash import build_chaos_fleet, fleet_oracle
+from repro.faults.net import run_chaos_service, run_service_trial
 
 
 @pytest.fixture(scope="module")
