@@ -16,10 +16,14 @@ one, so this is the only durable path:
   may end in a torn record, and replay stops there);
 * fleet alerts get per-home sequence numbers and flow into one shared
   :class:`~repro.durability.outbox.AlertOutbox`, with home-qualified ids;
-* :meth:`save_checkpoint` syncs the journals and the side logs, writes
-  the fleet checkpoint — one ``manifest.json`` that also carries a
-  ``durability`` block (per-home journal epochs, alert and ingest
-  sequences) — then rotates and truncates every home journal;
+* :meth:`commit` is the one commit point.  :meth:`dispatch`,
+  :meth:`finish`, :meth:`finish_home`, :meth:`deliver_pending` and
+  :meth:`recover` end with it, so a count read from :attr:`ingest_seqs`
+  after any of them covers only events a ``kill -9`` cannot take back;
+* :meth:`save_checkpoint` commits with the fsync forced, writes the fleet
+  checkpoint — one ``manifest.json`` that also carries a ``durability``
+  block (per-home journal epochs, alert and ingest sequences) — then
+  rotates and truncates every home journal;
 * :meth:`recover` = restore fleet checkpoint + replay every home's
   journal tail, home by home — per-home alert streams are reproduced
   exactly for any shard count (chaos-harness pinned).  The replay
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .. import telemetry
 from ..core import DiceDetector
@@ -46,7 +50,7 @@ from ..fleet import (
     restore_fleet,
     save_fleet_checkpoint,
 )
-from .journal import EventJournal, replay_records, sync_file
+from .journal import FSYNC_POLICIES, AppendLog, EventJournal, replay_records
 from .outbox import AlertOutbox, alert_record
 from .provenance import PROVENANCE_WAL, ProvenanceLog
 from .runtime import (
@@ -74,14 +78,17 @@ class DurableFleetGateway:
         alert_seqs: Optional[Dict[str, int]] = None,
         ingest_seqs: Optional[Dict[str, int]] = None,
     ) -> None:
+        if fsync not in FSYNC_POLICIES:
+            raise ValueError(f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}")
         self.gateway = gateway
         self.journal_root = os.fspath(journal_root)
         self.fsync = fsync
         self.outbox = outbox
         self.alert_seqs: Dict[str, int] = dict(alert_seqs or {})
-        #: Per-home count of journaled events — advances exactly when a
-        #: routed event's frame hits its journal, so it doubles as the
-        #: ingest service's exact resume sequence.
+        #: Per-home count of journaled events — advances when a routed
+        #: event's frame is appended to its journal, and is read only after
+        #: the commit that writes it, so it doubles as the ingest service's
+        #: exact resume sequence.
         self.ingest_seqs: Dict[str, int] = dict(ingest_seqs or {})
         self.journals: Dict[str, EventJournal] = {}
         self.provenance_logs: Dict[str, ProvenanceLog] = {}
@@ -95,7 +102,6 @@ class DurableFleetGateway:
         if journal is None:
             journal = EventJournal(
                 os.path.join(self.journal_root, home_id),
-                fsync=self.fsync,
                 metrics=self.gateway.runtime_of(home_id).metrics,
             )
             if journal.segments():
@@ -170,29 +176,68 @@ class DurableFleetGateway:
         return fresh
 
     def dispatch(self, events: Iterable[Tuple[str, Event]]) -> List[FleetAlert]:
-        """Journal each routed event into its home's journal, then route.
+        """Journal each routed event into its home's journal, route, commit.
 
-        The batch is materialised so the journal write strictly precedes
-        the dispatch that consumes it — the write-ahead invariant.
+        The batch is materialised so the journal append strictly precedes
+        the dispatch that consumes it — the write-ahead invariant.  The
+        commit runs even when the inner dispatch raises: the service
+        survives a failed dispatch, and the events counted in
+        :attr:`ingest_seqs` must be written either way.
         """
         batch = list(events)
-        for home_id, event in batch:
-            if home_id in self.gateway:
-                self._journal_of(home_id).append_frame(encode_event_frame(event))
-                self.ingest_seqs[home_id] = self.ingest_seqs.get(home_id, 0) + 1
-        return self._publish(self.gateway.dispatch(batch))
+        try:
+            for home_id, event in batch:
+                if home_id in self.gateway:
+                    self._journal_of(home_id).append_frame(encode_event_frame(event))
+                    self.ingest_seqs[home_id] = self.ingest_seqs.get(home_id, 0) + 1
+            return self._publish(self.gateway.dispatch(batch))
+        finally:
+            self.commit()
 
     def finish(self, ends=None) -> List[FleetAlert]:
-        return self._publish(self.gateway.finish(ends))
+        fresh = self._publish(self.gateway.finish(ends))
+        self.commit()
+        return fresh
 
     def finish_home(self, home_id: str, end=None) -> List[FleetAlert]:
         """Close one home's stream (the service's per-connection ``end``)."""
-        return self._publish(self.gateway.finish_home(home_id, end))
+        fresh = self._publish(self.gateway.finish_home(home_id, end))
+        self.commit()
+        return fresh
 
     def deliver_pending(self) -> dict:
         if self.outbox is None:
             return {"delivered": 0, "dead": 0}
-        return self.outbox.deliver_pending()
+        outcome = self.outbox.deliver_pending()
+        self.commit()
+        return outcome
+
+    def _logs(self) -> Iterator[AppendLog]:
+        """Every log, in the order a checkpoint must fsync them: the journal
+        segments, each home's evidence archive, then the outbox's journal
+        and its ack log."""
+        for journal in self.journals.values():
+            if journal.log is not None:
+                yield journal.log
+        for home_id in sorted(self.provenance_logs):
+            yield self.provenance_logs[home_id].log
+        if self.outbox is not None:
+            yield self.outbox.wal
+            yield self.outbox.acks
+
+    def commit(self, *, fsync: bool = False) -> None:
+        """The one commit point: write what every log holds and, under
+        ``fsync="always"``, fsync each log written since its last fsync;
+        with *fsync*, fsync every log.
+
+        The side logs write through on every append, so under ``never``
+        this writes only the journals' events: one write per home.
+        """
+        for log in self._logs():
+            if fsync or self.fsync == "always":
+                log.sync(force=fsync)
+            else:
+                log.flush()
 
     def health(self) -> dict:
         report = self.gateway.health()
@@ -207,9 +252,11 @@ class DurableFleetGateway:
         }
         return report
 
-    def close(self) -> None:
-        for journal in self.journals.values():
-            journal.close()
+    def close(self, *, drop: bool = False) -> None:
+        """Close every log.  With *drop*, the journal records no commit has
+        written die with the process, as under ``kill -9``."""
+        for log in self._logs():
+            log.close(drop=drop)
 
     # ------------------------------------------------------------------ #
     # Checkpoint & recovery
@@ -218,22 +265,22 @@ class DurableFleetGateway:
     def save_checkpoint(self, directory: PathLike) -> None:
         """Fleet checkpoint with its durability block, then rotate/truncate.
 
-        Order is the crash-safety argument: journals are synced first
-        (every event the checkpoint accounts for is on disk), then the side
-        logs (each home's ``provenance.wal``, the outbox journal and its
-        ack log), whose records only the soon-dropped segments could
-        regenerate; then the one manifest is written and made durable by a
-        single rename, and only then are superseded segments dropped — a
-        crash at any point leaves either the old checkpoint with its full
-        journals, or the new one with at worst some not-yet-truncated
-        (ignored) segments.
+        Order is the crash-safety argument: a commit with the fsync forced
+        puts the journals on disk first (every event the checkpoint
+        accounts for), then the side logs (each home's ``provenance.wal``,
+        the outbox journal and its ack log), whose records only the
+        soon-dropped segments could regenerate; then the one manifest is
+        written and made durable by a single rename, and only then are
+        superseded segments dropped — a crash at any point leaves either
+        the old checkpoint with its full journals, or the new one with at
+        worst some not-yet-truncated (ignored) segments.
         """
-        for journal in self.journals.values():
-            journal.sync()
+        # An archive an earlier life wrote is synced even when this life
+        # has not touched it: that life may have died before fsyncing it.
         for home_id in self.journals:
-            sync_file(os.path.join(self.journal_root, home_id, PROVENANCE_WAL))
-        if self.outbox is not None:
-            self.outbox.sync()
+            if os.path.exists(os.path.join(self.journal_root, home_id, PROVENANCE_WAL)):
+                self.provenance_log_of(home_id)
+        self.commit(fsync=True)
         epochs = {
             home_id: journal.epoch for home_id, journal in self.journals.items()
         }
@@ -341,6 +388,7 @@ class DurableFleetGateway:
                     fresh = [FleetAlert(home_id, alert) for alert in alerts]
                     gateway.alerts.extend(fresh)
                     replayed.extend(durable._publish(fresh))
+        durable.commit()
         elapsed = time.perf_counter() - t0
         gateway.metrics.histogram(
             RECOVERY_SECONDS_HISTOGRAM,

@@ -38,13 +38,17 @@ tail's frames once, to validate and count them, and returns a
 :class:`JournalTail` that decodes them again one at a time as recovery
 ingests them: a restart holds one journal record, not the whole tail.
 
-Fsync policy is the classic durability/throughput dial:
+One writer, :class:`AppendLog`, writes every log of the package.  It
+keeps one descriptor per file and collects appended frames in memory
+until the durable gateway's commit point
+(:meth:`~repro.durability.fleet.DurableFleetGateway.commit`) flushes them,
+so what the gateway acknowledges is what a restart finds.  The fsync
+policy decides only what that commit adds:
 
-* ``"never"``   — rely on the OS page cache (default; survives process
-  crashes, not power loss);
-* ``"interval"`` — ``os.fsync`` every *fsync_interval* appends (bounded
-  loss under power failure);
-* ``"always"``  — ``os.fsync`` after every append (no loss, slowest).
+* ``"never"``  — write to the OS (default; survives a process crash,
+  ``kill -9`` included, not a power cut);
+* ``"always"`` — write, then ``os.fsync`` every log the batch touched
+  (survives a power cut too).
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .. import telemetry
 PathLike = Union[str, os.PathLike]
 
 #: Legal fsync policies, loosest to strictest.
-FSYNC_POLICIES = ("never", "interval", "always")
+FSYNC_POLICIES = ("never", "always")
 
 SEGMENT_PREFIX = "journal-"
 SEGMENT_SUFFIX = ".wal"
@@ -152,8 +156,7 @@ class SegmentReader:
         """
         if not self.torn:
             return False
-        with open(self.path, "r+b") as handle:
-            handle.truncate(self.valid_bytes)
+        os.truncate(self.path, self.valid_bytes)
         return True
 
 
@@ -180,22 +183,6 @@ def read_segment(path: PathLike) -> Tuple[List[dict], bool]:
     return records, reader.torn
 
 
-def sync_file(path: PathLike) -> None:
-    """Fsync the file at *path*; a missing file has nothing to sync.
-
-    For the side logs, whose appends open and close their file: no handle
-    outlives a write, so a sync opens the file again.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except FileNotFoundError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def segment_name(epoch: int) -> str:
     return f"{SEGMENT_PREFIX}{epoch:08d}{SEGMENT_SUFFIX}"
 
@@ -213,18 +200,66 @@ def list_segments(directory: PathLike) -> List[Tuple[int, str]]:
     return sorted(found)
 
 
+class AppendLog:
+    """One append-only log file: the package's only writer.
+
+    One descriptor, opened unbuffered so that a log dropped without
+    :meth:`close` closes it when collected.  :meth:`append` copies frames
+    into a buffer the log keeps across flushes, as a ``BufferedWriter``
+    keeps its own, so a flush allocates nothing; :meth:`flush` writes them
+    with one ``os.write``, and :meth:`sync` flushes and then fsyncs.
+    ``close(drop=True)`` drops the unwritten frames, as ``kill -9`` would.
+    """
+
+    def __init__(self, path: PathLike) -> None:
+        self.path = os.fspath(path)
+        self._file = open(self.path, "ab", buffering=0)
+        self._buffer = bytearray()
+        self._used = 0  # bytes of the buffer not yet written
+        self._unsynced = False  # written to since the last fsync
+
+    def append(self, frame: bytes) -> None:
+        end = self._used + len(frame)
+        self._buffer[self._used : end] = frame
+        self._used = end
+
+    def flush(self) -> None:
+        if not self._used:
+            return
+        used, self._used = self._used, 0
+        with memoryview(self._buffer) as view:
+            written = self._file.write(view[:used])
+            while written < used:  # a short write: the rest follows it
+                written += self._file.write(view[written:used])
+        self._unsynced = True
+
+    def sync(self, *, force: bool = False) -> None:
+        """Flush, then fsync if this log wrote since its last fsync, or
+        with *force*: the file may hold bytes an earlier life wrote and
+        never fsynced."""
+        self.flush()
+        if force or self._unsynced:
+            os.fsync(self._file.fileno())
+            self._unsynced = False
+
+    def close(self, *, drop: bool = False) -> None:
+        if not drop:
+            self.flush()
+        self._used = 0
+        self._file.close()
+
+
 class EventJournal:
     """Append-only, segmented, CRC-checked journal for one home.
+
+    Appends collect in the current segment's :class:`AppendLog`
+    (:attr:`log`) until the durable gateway commits it.
 
     Parameters
     ----------
     directory:
         The journal directory (created if missing).  One journal per home;
         a fleet keeps one directory per home under a shared root.
-    fsync:
-        One of :data:`FSYNC_POLICIES`; see the module docstring.
-    fsync_interval:
-        Appends between ``fsync`` calls under the ``"interval"`` policy.
     metrics:
         Telemetry registry for append/rotate/truncate counters; defaults
         to the disabled registry so library use records nothing.
@@ -234,18 +269,10 @@ class EventJournal:
         self,
         directory: PathLike,
         *,
-        fsync: str = "never",
-        fsync_interval: int = 64,
         metrics: Optional["telemetry.MetricsRegistry"] = None,
     ) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}")
-        if fsync_interval < 1:
-            raise ValueError("fsync_interval must be at least 1")
         self.directory = os.fspath(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self.fsync = fsync
-        self.fsync_interval = int(fsync_interval)
         self.metrics = metrics if metrics is not None else telemetry.NULL_REGISTRY
         self._appends_counter = self.metrics.counter(
             JOURNAL_APPENDS_TOTAL, "Records appended to the event journal"
@@ -258,8 +285,8 @@ class EventJournal:
         )
         existing = list_segments(self.directory)
         self.epoch = existing[-1][0] if existing else 0
-        self._handle = None
-        self._since_sync = 0
+        #: The current segment's writer, opened by the first append.
+        self.log: Optional[AppendLog] = None
 
     # ------------------------------------------------------------------ #
 
@@ -270,13 +297,13 @@ class EventJournal:
     def segments(self) -> List[Tuple[int, str]]:
         return list_segments(self.directory)
 
-    def _open(self):
-        if self._handle is None:
-            self._handle = open(self.current_segment_path, "ab")
-        return self._handle
+    def _open(self) -> AppendLog:
+        if self.log is None:
+            self.log = AppendLog(self.current_segment_path)
+        return self.log
 
     def append(self, record: dict) -> None:
-        """Durably (per policy) append one record to the current segment."""
+        """Append one record to the current segment."""
         self.append_frame(encode_record(record))
 
     def append_frame(self, frame: bytes) -> None:
@@ -286,27 +313,11 @@ class EventJournal:
         pre-encode (cached device ids, direct float formatting) skip the
         generic ``json.dumps`` here.
         """
-        handle = self._handle
-        if handle is None:
-            handle = self._open()
-        handle.write(frame)
-        if self.fsync == "always":
-            handle.flush()
-            os.fsync(handle.fileno())
-        elif self.fsync == "interval":
-            self._since_sync += 1
-            if self._since_sync >= self.fsync_interval:
-                handle.flush()
-                os.fsync(handle.fileno())
-                self._since_sync = 0
+        log = self.log
+        if log is None:
+            log = self._open()
+        log.append(frame)
         self._appends_counter.inc()
-
-    def sync(self) -> None:
-        """Flush and fsync the current segment regardless of policy."""
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._since_sync = 0
 
     def rotate(self, epoch: Optional[int] = None) -> int:
         """Close the current segment and start a new one at *epoch*
@@ -349,17 +360,9 @@ class EventJournal:
         return removed
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            self._handle.close()
-            self._handle = None
-        self._since_sync = 0
-
-    def __enter__(self) -> "EventJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        if self.log is not None:
+            self.log.close()
+            self.log = None
 
 
 class JournalTail:

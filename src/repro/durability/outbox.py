@@ -9,8 +9,9 @@ alerts the same durability the event journal gives events:
 2. delivery to a pluggable :class:`AlertSink` retries with exponential
    backoff plus jitter, up to a bounded attempt budget;
 3. a delivered alert is **acked** (``acks.wal``) so a restart does not
-   re-send it; an exhausted alert goes to the dead-letter file
-   (``dead-letter.jsonl``) and is acked as dead so it stops blocking;
+   re-send it; an exhausted alert is acked as dead, with its attempt
+   count and last error, so it stops blocking (:meth:`AlertOutbox.dead_letters`
+   reads the dead acks back with their records);
 4. on restart the outbox re-offers every journaled-but-unacked alert —
    *at-least-once*: a crash between delivery and ack re-delivers, and the
    deterministic alert id lets sinks (and the outbox itself, on
@@ -27,6 +28,10 @@ its memory follows what is still pending rather than every alert ever
 offered.  It also cuts a torn tail off either log before anything is
 appended behind it — a record written after the partial frame would be
 on disk yet invisible to the next restart.
+
+Both logs write through: each offer and each ack is written at once (one
+write per record), so a reopened outbox sees it, and the durable gateway's
+commit point fsyncs them under ``fsync="always"``.
 """
 
 from __future__ import annotations
@@ -39,13 +44,12 @@ from typing import Callable, Dict, List, Optional, Set, Union
 from .. import telemetry
 from ..streaming import Alert
 from ..telemetry.provenance import alert_body, trace_id
-from .journal import SegmentReader, encode_record, sync_file
+from .journal import AppendLog, SegmentReader, encode_record
 
 PathLike = Union[str, os.PathLike]
 
 OUTBOX_WAL = "outbox.wal"
 ACKS_WAL = "acks.wal"
-DEAD_LETTER = "dead-letter.jsonl"
 
 OUTBOX_OFFERED_TOTAL = "dice_outbox_offered_total"
 OUTBOX_DELIVERED_TOTAL = "dice_outbox_delivered_total"
@@ -76,14 +80,18 @@ class AlertSink:
 
 
 class FileSink(AlertSink):
-    """Append each delivered alert as one JSON line (the default target)."""
+    """Append each delivered alert as one JSON line (the default target),
+    written at once; the file is created by the first delivery."""
 
     def __init__(self, path: PathLike) -> None:
         self.path = os.fspath(path)
+        self._log: Optional[AppendLog] = None
 
     def deliver(self, record: dict) -> None:
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        if self._log is None:
+            self._log = AppendLog(self.path)
+        self._log.append((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
+        self._log.flush()
 
 
 class CallbackSink(AlertSink):
@@ -127,7 +135,7 @@ class AlertOutbox:
     Parameters
     ----------
     directory:
-        Where the outbox journal, ack log and dead-letter file live.
+        Where the outbox journal and its ack log live.
     sink:
         The delivery target.
     max_attempts:
@@ -195,11 +203,13 @@ class AlertOutbox:
         )
         self._wal_path = os.path.join(self.directory, OUTBOX_WAL)
         self._acks_path = os.path.join(self.directory, ACKS_WAL)
-        self._dead_path = os.path.join(self.directory, DEAD_LETTER)
         self._ids: Set[str] = set()  # every journaled alert id
         self._pending: Dict[str, dict] = {}  # journaled and unacked, in order
         self._acked: Dict[str, str] = {}  # id -> "delivered" | "dead"
         self._load()
+        #: The writers of ``outbox.wal`` and ``acks.wal``.
+        self.wal = AppendLog(self._wal_path)
+        self.acks = AppendLog(self._acks_path)
 
     # ------------------------------------------------------------------ #
 
@@ -231,11 +241,18 @@ class AlertOutbox:
         return list(self._pending.values())
 
     def dead_letters(self) -> List[dict]:
-        """The dead-letter file's records (empty when it does not exist)."""
-        if not os.path.exists(self._dead_path):
+        """Every dead-lettered alert as ``{"record", "attempts", "error"}``,
+        in the order each died: the dead ack carries the attempt count and
+        the last error, the outbox journal the record (both re-read)."""
+        dead = [ack for ack in SegmentReader(self._acks_path) if ack.get("outcome") == "dead"]
+        if not dead:
             return []
-        with open(self._dead_path, "r", encoding="utf-8") as handle:
-            return [json.loads(line) for line in handle if line.strip()]
+        ids = {ack["id"] for ack in dead}
+        records = {r["id"]: r for r in SegmentReader(self._wal_path) if r["id"] in ids}
+        return [
+            {"record": records[ack["id"]], "attempts": ack["attempts"], "error": ack["error"]}
+            for ack in dead
+        ]
 
     def delivered_ids(self) -> List[str]:
         return sorted(
@@ -257,22 +274,16 @@ class AlertOutbox:
         if record["id"] in self._ids:
             self._deduped_counter.inc()
             return False
-        with open(self._wal_path, "ab") as handle:
-            handle.write(encode_record(record))
+        self.wal.append(encode_record(record))
+        self.wal.flush()
         self._ids.add(record["id"])
         if record["id"] not in self._acked:
             self._pending[record["id"]] = record
         return True
 
-    def sync(self) -> None:
-        """Fsync the outbox journal and the ack log, which their appends
-        leave to the OS page cache."""
-        sync_file(self._wal_path)
-        sync_file(self._acks_path)
-
-    def _ack(self, record_id: str, outcome: str) -> None:
-        with open(self._acks_path, "ab") as handle:
-            handle.write(encode_record({"id": record_id, "outcome": outcome}))
+    def _ack(self, record_id: str, outcome: str, **detail) -> None:
+        self.acks.append(encode_record({"id": record_id, "outcome": outcome, **detail}))
+        self.acks.flush()
         self._acked[record_id] = outcome
         self._pending.pop(record_id, None)
 
@@ -281,7 +292,7 @@ class AlertOutbox:
         return delay * (1.0 + self.jitter * self.rng.random())
 
     def deliver_pending(self) -> Dict[str, int]:
-        """Drive every pending alert to delivery or the dead-letter file.
+        """Drive every pending alert to delivery or a dead ack.
 
         Returns ``{"delivered": n, "dead": m}``.  At-least-once: an alert
         is acked only *after* the sink accepted it, so a crash inside this
@@ -310,19 +321,9 @@ class AlertOutbox:
             self._ack(record["id"], "delivered")
             self._delivered_counter.inc()
             return "delivered"
-        with open(self._dead_path, "a", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "record": record,
-                        "attempts": self.max_attempts,
-                        "error": str(last_error),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-        self._ack(record["id"], "dead")
+        self._ack(
+            record["id"], "dead", attempts=self.max_attempts, error=str(last_error)
+        )
         self._dead_counter.inc()
         _log.warning(
             "alert_dead_lettered",

@@ -22,8 +22,13 @@ duplicated, and one lost in a torn tail is simply re-written from the
 replay.  The durable gateway drains the recorder after each replayed
 event, as it does after each live dispatch, so however many alerts a
 tail raises, none of their records falls out of the recorder's bounded
-buffer before it reaches this log.  A checkpoint fsyncs the log before
-its manifest supersedes the journal segments that could regenerate it.
+buffer before it reaches this log.
+
+The log writes through: each append is written at once (one write per
+record), so :meth:`ProvenanceLog.records` and :meth:`ProvenanceLog.find`
+see it, and the durable gateway's commit point fsyncs it under
+``fsync="always"``.  A checkpoint fsyncs it under either policy before its
+manifest supersedes the journal segments that could regenerate it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import List, Optional, Set, Union
 
 from .. import telemetry
 from ..telemetry.provenance import canonical_record_bytes
-from .journal import SegmentReader, frame_payload
+from .journal import AppendLog, SegmentReader, frame_payload
 
 PathLike = Union[str, os.PathLike]
 
@@ -72,6 +77,7 @@ class ProvenanceLog:
         )
         self._ids: Set[str] = set()
         self._load()
+        self.log = AppendLog(self.path)
 
     def _load(self) -> None:
         reader = SegmentReader(self.path)
@@ -94,8 +100,8 @@ class ProvenanceLog:
         if record["id"] in self._ids:
             self._deduped_counter.inc()
             return False
-        with open(self.path, "ab") as handle:
-            handle.write(frame_payload(canonical_record_bytes(record)))
+        self.log.append(frame_payload(canonical_record_bytes(record)))
+        self.log.flush()
         self._ids.add(record["id"])
         self._appended_counter.inc()
         return True

@@ -15,16 +15,20 @@ or outbox (multi-home trials also reshard on restore).
 
 Crash model
 -----------
-A *process* crash loses user-space buffers but not the OS page cache, so
-the harness closes file handles (flush-to-OS) before abandoning the
-runtime object.  A *power* crash can also tear the last journal record
-mid-write; the harness simulates that by chopping bytes off the end of
-the newest segment — strictly fewer than the final record's frame, so
-the CRC check must detect and discard it.  The write-ahead discipline
-makes the torn case recoverable: the journal append precedes processing,
-so a record torn on disk corresponds to an event whose effects the
-recovered state must not contain — the source re-feeds it, exactly as a
-resumed pipe would.
+A *process* crash (``kill -9``) loses what the process had not yet handed
+to the OS and nothing else.  The harness ends a gateway's life with
+``close(drop=True)``, which drops every journal record no commit has
+written instead of flushing it.  The gateway commits at the end of every
+dispatch, finish and delivery, so what survives is exactly what it had
+acknowledged (``tests/durability/test_kill.py`` checks the same claim on
+a real child process that dies by ``os._exit``).  A *power* crash can
+also tear the last journal record mid-write; the harness simulates that
+by chopping bytes off the end of the newest segment — strictly fewer
+than the final record's frame, so the CRC check must detect and discard
+it.  The write-ahead discipline makes the torn case recoverable: the
+journal append precedes processing, so a record torn on disk corresponds
+to an event whose effects the recovered state must not contain — the
+source re-feeds it, exactly as a resumed pipe would.
 """
 
 from __future__ import annotations
@@ -547,7 +551,7 @@ def run_fleet_trial(
         checkpoint_index = None
         durable.dispatch(merged[:kill_index])
     durable.deliver_pending()  # some alerts reach the sink pre-crash
-    durable.close()  # process crash: user buffers flush to the OS, then death
+    durable.close(drop=True)  # kill -9: uncommitted records die unwritten
 
     resume_from = kill_index
     if torn:

@@ -28,8 +28,10 @@ same port, lets the retrying clients heal, and judges the outcome with
 the crash harness's own instruments: per-home canonical alert parity
 against the uninterrupted in-process oracle, monotone alert counters,
 at-least-once outbox delivery, and — new here — **exact ingest
-accounting** (every event journaled exactly once: the recovered
-``ingest_seqs`` must equal each home's stream length, with zero sheds).
+accounting**: the restarted server holds every event the killed one had
+counted applied (one fewer on the home whose journal tail was torn),
+and every event is journaled exactly once (the final ``ingest_seqs``
+equal each home's stream length, with zero sheds).
 """
 
 from __future__ import annotations
@@ -352,7 +354,7 @@ def run_service_trial(
     handle.kill()
     applied_at_kill = dict(durable.ingest_seqs)
 
-    torn_effective = False
+    torn_home: Optional[str] = None
     if torn:
         candidates = [
             dep for dep in deployments if applied_at_kill.get(dep.home_id, 0) > 0
@@ -371,7 +373,7 @@ def run_service_trial(
                 np.random.default_rng(trial_seed ^ 0x5EED),
             )
             if cut > 0:
-                torn_effective = True
+                torn_home = victim.home_id
                 break
 
     # --- the next life: recover onto the same port --------------------- #
@@ -389,6 +391,13 @@ def run_service_trial(
         outbox=outbox2,
         lateness_seconds=LATENESS_SECONDS,
         policy=POLICY,
+    )
+    # What the kill spared: every event an ``applied`` count had covered,
+    # less the one record a torn tail cut.
+    survived = all(
+        recovered.ingest_seqs.get(dep.home_id, 0)
+        == applied_at_kill.get(dep.home_id, 0) - (1 if dep.home_id == torn_home else 0)
+        for dep in deployments
     )
     config2 = ServiceConfig(
         port=port,
@@ -442,10 +451,11 @@ def run_service_trial(
     acked = set(outbox2.delivered_ids())
     dead = outbox2.dead_letters()
     dead_ids = {entry["record"]["id"] for entry in dead}
-    # Exact ingest accounting: every event journaled exactly once, and no
-    # overload sheds at any point (the queue was never allowed to fill, so
-    # every shed here would be a resume-arithmetic bug, not backpressure).
-    seqs_exact = healthy and all(
+    # Exact ingest accounting: the restart held what the kill spared, every
+    # event was journaled exactly once, and no overload sheds at any point
+    # (the queue was never allowed to fill, so every shed here would be a
+    # resume-arithmetic bug, not backpressure).
+    seqs_exact = healthy and survived and all(
         recovered.ingest_seqs.get(dep.home_id, 0) == len(dep.events)
         for dep in deployments
     )
@@ -468,7 +478,7 @@ def run_service_trial(
         kill_index=kill_at,
         total_events=total_events,
         checkpointed=checkpointed,
-        torn=torn_effective,
+        torn=torn_home is not None,
         parity=parity,
         counters_monotone=counters_monotone,
         delivery_ok=delivery_ok,

@@ -19,7 +19,9 @@ type              direction  meaning
                              skips ``applied - K`` frames as known duplicates
 ``event``         C → S      one telemetry event (the journal fast path)
 ``sync``          C → S      barrier request; server answers ``synced``
-``synced``        S → C      ``{"applied": N}`` — exact, all prior frames durable
+``synced``        S → C      ``{"applied": N}`` — exact, all prior frames
+                             committed: written to the OS under
+                             ``fsync="never"``, fsynced under ``"always"``
 ``ack``           S → C      advisory progress ``{"applied": N}`` (may lag)
 ``end``           C → S      close the home stream at ``{"end": t}``;
                              server answers ``fin``

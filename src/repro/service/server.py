@@ -269,10 +269,13 @@ class IngestServer:
         _log.info("service_drained", port=self.port)
 
     async def kill(self) -> None:
-        """Abrupt death for chaos harnesses: no flush beyond the journal's
-        own buffers, no checkpoint, no goodbyes.  (Lost OS-buffer bytes are
-        modelled by the harness tearing the journal tail afterwards, the
-        same way the crash harness does.)"""
+        """Abrupt death for chaos harnesses, as ``kill -9`` would have it:
+        the journal records no commit has written are dropped, not
+        flushed, and there is no checkpoint and no goodbye.  What survives
+        is what the last commit wrote, which is every event an ``applied``
+        count has covered.  (A power cut's torn final record is modelled by
+        the harness tearing the journal tail afterwards, as the crash
+        harness does.)"""
         self.ready = False
         self.draining = True
         if self._ingest_listener is not None:
@@ -283,7 +286,7 @@ class IngestServer:
             conn.close()
         if self._consumer is not None:
             self._consumer.cancel()
-        self.durable.close()
+        self.durable.close(drop=True)
 
     async def _barrier(self) -> int:
         if self._consumer is None or self._consumer.done():

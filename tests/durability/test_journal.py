@@ -13,7 +13,9 @@ import random
 import pytest
 
 from repro.durability import (
+    FSYNC_POLICIES,
     MAX_RECORD_BYTES,
+    DurableFleetGateway,
     EventJournal,
     JournalError,
     encode_event_frame,
@@ -26,6 +28,8 @@ from repro.durability import (
     replay_records,
     segment_name,
 )
+from repro.faults.crash import _fresh_fleet, build_chaos_deployment, one_home_stream
+from repro.fleet import FleetGateway
 from repro.model import Event
 from repro.telemetry import MetricsRegistry
 
@@ -98,21 +102,30 @@ class TestFraming:
 
 
 class TestPolicy:
+    """The fsync policy is the durable gateway's: it decides what the
+    commit at the end of every dispatch adds to writing the batch."""
+
+    @pytest.fixture(scope="class")
+    def deployment(self):
+        return build_chaos_deployment(42)
+
     def test_rejects_unknown_fsync_policy(self, tmp_path):
         with pytest.raises(ValueError, match="fsync"):
-            EventJournal(tmp_path, fsync="sometimes")
+            DurableFleetGateway(FleetGateway(1), tmp_path, fsync="sometimes")
 
-    def test_rejects_bad_interval(self, tmp_path):
-        with pytest.raises(ValueError, match="fsync_interval"):
-            EventJournal(tmp_path, fsync="interval", fsync_interval=0)
-
-    @pytest.mark.parametrize("fsync", ["never", "interval", "always"])
-    def test_policies_all_persist(self, tmp_path, fsync):
-        journal = EventJournal(tmp_path / fsync, fsync=fsync, fsync_interval=2)
-        for i in range(5):
-            journal.append({"i": i})
-        journal.close()
-        assert _records(journal.current_segment_path) == [{"i": i} for i in range(5)]
+    @pytest.mark.parametrize("fsync", FSYNC_POLICIES)
+    def test_policies_all_persist(self, deployment, tmp_path, fsync):
+        detectors = {deployment.home_id: deployment.fit_detector()}
+        durable = DurableFleetGateway(
+            _fresh_fleet([deployment], detectors, 1), tmp_path, fsync=fsync
+        )
+        durable.dispatch(one_home_stream(deployment)[:5])
+        # Whatever was not committed dies with the gateway, as under kill -9.
+        durable.close(drop=True)
+        (segment,) = list_segments(tmp_path / deployment.home_id)
+        assert _records(segment[1]) == [
+            event_to_record(event) for event in deployment.events[:5]
+        ]
 
 
 class TestRotation:
@@ -224,7 +237,7 @@ class TestTornTail:
         # reorder the stream, so it must refuse.
         journal = EventJournal(tmp_path)
         journal.append({"epoch": 0})
-        journal.sync()
+        journal.log.flush()
         self._tear(journal.current_segment_path, 2)
         journal.rotate(1)
         journal.append({"epoch": 1})

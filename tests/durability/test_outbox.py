@@ -1,7 +1,7 @@
 """The alert outbox: journal-then-deliver, retries, dedup, dead letters.
 
-At-least-once means exactly: every offered alert ends up either acked as
-delivered or in the dead-letter file, never silently dropped — across
+At-least-once means exactly: every offered alert ends up acked either as
+delivered or as dead (a dead letter), never silently dropped — across
 flaky sinks, retry exhaustion, duplicate offers and process restarts.
 """
 

@@ -213,7 +213,7 @@ class TestTargetedTrials:
         assert result.ok
         assert result.torn
 
-    @pytest.mark.parametrize("fsync", ["interval", "always"])
+    @pytest.mark.parametrize("fsync", ["always"])
     def test_stricter_fsync_policies_recover_too(
         self, deployment, expected, tmp_path, fsync
     ):
@@ -230,7 +230,7 @@ class TestTargetedTrials:
         self, deployment, expected, tmp_path
     ):
         # Sink worse than the attempt budget: nothing is delivered, but
-        # every expected alert is accounted for in the dead-letter file.
+        # every expected alert is accounted for as a dead letter.
         result = _trial(
             deployment,
             expected,

@@ -442,6 +442,18 @@ class TestChaos:
         assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["stream", "fleet", "serve", "chaos"])
+def test_fsync_choices_are_the_gateway_policies(command):
+    # The parser spells the policies out, so building it does not import
+    # the durable stack; the gateway's tuple is the one that counts.
+    from repro.cli import _build_parser
+    from repro.durability import FSYNC_POLICIES
+
+    (subcommands,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    (fsync,) = [a for a in subcommands.choices[command]._actions if a.dest == "fsync"]
+    assert tuple(fsync.choices) == FSYNC_POLICIES
+
+
 class TestScenarios:
     def test_list_prints_cell_ids(self, capsys):
         assert main(["scenarios", "--list"]) == 0
