@@ -4,7 +4,6 @@ from .perf import (
     BENCH_SCHEMA,
     DEFAULT_OUTPUT,
     bench_provenance,
-    bench_telemetry,
     run_benchmarks,
     validate_document,
 )
@@ -13,7 +12,6 @@ __all__ = [
     "BENCH_SCHEMA",
     "DEFAULT_OUTPUT",
     "bench_provenance",
-    "bench_telemetry",
     "run_benchmarks",
     "validate_document",
 ]

@@ -1,19 +1,11 @@
-"""Timing harness for the detection hot paths (``repro bench``).
+"""The two ``repro bench`` sections no other harness holds.
 
-The paper singles out "obtaining probable groups" — the Hamming scan over
-all training groups — as the dominant real-time cost (Fig. 5.3); this
-module times exactly the paths successive PRs optimise and writes the
-results to ``BENCH_perf.json`` so future changes have a trajectory to
-regress against:
+perfbench (``perfbench/``) is the benchmark of record: it times the
+served and evaluation paths layer by layer, in alternating pairs of runs,
+and the tier-1 tests hold every parity the detector's fast paths promise.
+What is left here needs neither a server nor a dataset, and CI gates on
+it:
 
-* **fit** — group interning (``GroupRegistry.from_windows``) over growing
-  synthetic traces; linear thanks to the capacity-doubled bitset storage;
-* **scan** — the per-window correlation check over ``G`` groups ×
-  ``W`` windows, four ways: uncached scalar (the seed path), memoised
-  scalar cold/warm, and the batched ``check_many`` matrix pass;
-* **telemetry** — the streamed per-window segment path with a live
-  metrics registry vs the disabled ``NULL_REGISTRY`` twin, so the stage
-  clock's cost stays visible (budget: ≤ 5 % overhead);
 * **provenance** — the alert-evidence recorder's hot-path cost: the same
   live stream with ``NULL_PROVENANCE`` vs the default recorder (budget:
   ≤ 1.1x events/s — evidence capture must be nearly free because it only
@@ -24,9 +16,9 @@ regress against:
   with per-home alert parity asserted, trained-state bytes/home from the
   deterministic estimator, and a memory projection out to 100k homes.
 
-All workloads are seeded and synthetic — the harness needs no dataset
-files and produces no timing *assertions* (CI runs it as a smoke test;
-regressions are judged by humans reading the JSON trajectory).
+Both workloads are seeded and synthetic.  The harness asserts parity,
+never a timing: CI's provenance gate reads ``overhead_ratio``, and its
+capacity gate reads the deterministic byte accounting.
 """
 
 from __future__ import annotations
@@ -40,10 +32,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import telemetry
-from ..core import DiceBackend, DiceConfig, DiceDetector
-from ..core.checks import CorrelationChecker
+from ..core import DiceConfig
 from ..core.encoding import BitLayout, WindowedTrace
-from ..core.groups import GroupRegistry
 from ..model import DeviceRegistry, SensorType, binary_sensor
 
 #: /2 added the ``telemetry`` overhead section; /3 added the ``fleet``
@@ -59,9 +49,16 @@ from ..model import DeviceRegistry, SensorType, binary_sensor
 #: /11 dropped the scan rows' kernel-choice fields (``kernel``,
 #: ``kernel_calls``, the crossover and the forced-kernel timings): one
 #: Hamming kernel is left; /12 times ``telemetry`` on the streamed path
-#: (``stream_segment``), the only path that writes to the registry.
-BENCH_SCHEMA = "dice-bench-perf/12"
+#: (``stream_segment``), the only path that writes to the registry; /13
+#: dropped ``fit``, ``scan``, ``segment`` and ``telemetry``, which
+#: perfbench times and tier-1 holds, and rejects any other top-level key.
+BENCH_SCHEMA = "dice-bench-perf/13"
 DEFAULT_OUTPUT = "BENCH_perf.json"
+
+#: Every top-level key of a document, and no others.
+_DOCUMENT_KEYS = frozenset(
+    {"schema", "quick", "seed", "machine", "provenance", "capacity"}
+)
 
 
 # --------------------------------------------------------------------- #
@@ -131,226 +128,6 @@ def _probe_stream(
 # --------------------------------------------------------------------- #
 
 
-def bench_fit(
-    sizes: Sequence[int], num_bits: int, seed: int
-) -> List[Dict]:
-    """Group interning over growing synthetic traces (amortised append)."""
-    layout = _synthetic_layout(num_bits)
-    results = []
-    for n_windows in sizes:
-        rng = np.random.default_rng(seed)
-        # ~60 % unique masks so the registry itself grows with the trace.
-        pool = _group_pool(rng, num_bits, max(2, int(n_windows * 0.6)))
-        masks = [pool[int(rng.integers(len(pool)))] for _ in range(n_windows)]
-        windowed = WindowedTrace(
-            layout, 60.0, 0.0, masks, [frozenset()] * n_windows
-        )
-        t0 = time.perf_counter()
-        registry, _ = GroupRegistry.from_windows(windowed)
-        seconds = time.perf_counter() - t0
-        results.append(
-            {
-                "windows": int(n_windows),
-                "groups": len(registry),
-                "seconds": seconds,
-            }
-        )
-    return results
-
-
-def _best_of(repeats: int, make_timed):
-    """Run ``make_timed()`` *repeats* times; return (best seconds, result).
-
-    Taking the minimum is the standard defence against scheduler noise on
-    loaded machines — every run does identical work, so the fastest run is
-    the closest to the true cost.
-    """
-    best_s = float("inf")
-    result = None
-    for i in range(repeats):
-        t0 = time.perf_counter()
-        out = make_timed()
-        seconds = time.perf_counter() - t0
-        if seconds < best_s:
-            best_s = seconds
-        if i == 0:
-            result = out
-    return best_s, result
-
-
-def bench_scan(
-    n_groups: int, n_windows: int, num_bits: int, seed: int, repeats: int = 3
-) -> Dict:
-    """The correlation check four ways over G groups × W windows."""
-    rng = np.random.default_rng(seed)
-    layout = _synthetic_layout(num_bits)
-    groups = GroupRegistry(layout)
-    for mask in _group_pool(rng, num_bits, n_groups):
-        groups.add(mask)
-    probes = _probe_stream(rng, groups.masks, num_bits, n_windows)
-    config = DiceConfig(max_candidate_distance=2)
-
-    # Seed scalar path: one uncached scan per window.
-    scalar = CorrelationChecker(groups, config, cache_size=0)
-    scalar_s, scalar_results = _best_of(
-        repeats, lambda: [scalar.scan(mask) for mask in probes]
-    )
-
-    # Memoised scalar: cold pass fills the LRU, warm pass mostly hits it.
-    def _memo_cold():
-        checker = CorrelationChecker(groups, config)
-        return checker, [checker.check(mask) for mask in probes]
-
-    memo_cold_s, (memo, memo_results) = _best_of(repeats, _memo_cold)
-    memo_warm_s, _ = _best_of(
-        repeats, lambda: [memo.check(mask) for mask in probes]
-    )
-
-    # Batch + memoised: one (W, G) matrix pass over the cache misses.
-    def _batch_cold():
-        checker = CorrelationChecker(groups, config)
-        return checker, checker.check_many(probes)
-
-    batch_cold_s, (batch, batch_results) = _best_of(repeats, _batch_cold)
-    cold_info = batch.cache_info()  # counters from the first cold pass only
-    batch_warm_s, _ = _best_of(repeats, lambda: batch.check_many(probes))
-
-    if not (scalar_results == memo_results == batch_results):
-        raise AssertionError("scalar, memoised and batch paths disagree")
-
-    def _speedup(base: float, new: float) -> float:
-        return base / new if new > 0 else float("inf")
-
-    return {
-        "groups": int(n_groups),
-        "windows": int(n_windows),
-        "num_bits": int(num_bits),
-        "scalar_s": scalar_s,
-        "memoized_cold_s": memo_cold_s,
-        "memoized_warm_s": memo_warm_s,
-        "batch_cold_s": batch_cold_s,
-        "batch_warm_s": batch_warm_s,
-        "cache_hits": cold_info["hits"],
-        "cache_misses": cold_info["misses"],
-        "per_window_us": {
-            "scalar": 1e6 * scalar_s / n_windows,
-            "memoized_warm": 1e6 * memo_warm_s / n_windows,
-            "batch_cold": 1e6 * batch_cold_s / n_windows,
-        },
-        "speedup_batch_vs_scalar": _speedup(scalar_s, batch_cold_s),
-        "speedup_warm_vs_scalar": _speedup(scalar_s, batch_warm_s),
-    }
-
-
-def _fitted_segment(
-    n_groups: int, n_windows: int, num_bits: int, seed: int, metrics=None
-):
-    """A fitted synthetic detector plus a probe segment to replay into it."""
-    rng = np.random.default_rng(seed)
-    layout = _synthetic_layout(num_bits)
-    pool = _group_pool(rng, num_bits, n_groups)
-    training_masks = [pool[int(rng.integers(len(pool)))] for _ in range(n_groups * 3)]
-    from ..core.encoding import StateSetEncoder
-
-    encoder = StateSetEncoder(layout.registry)
-    encoder._value_thresholds = np.zeros(len(layout.registry))
-    training = WindowedTrace(
-        layout, 60.0, 0.0, training_masks, [frozenset()] * len(training_masks)
-    )
-    detector = DiceDetector(layout.registry, metrics=metrics).fit_windows(
-        encoder, training
-    )
-    probes = _probe_stream(rng, pool, num_bits, n_windows)
-    segment = WindowedTrace(layout, 60.0, 0.0, probes, [frozenset()] * len(probes))
-    return detector, segment
-
-
-def bench_detector_segment(
-    n_groups: int, n_windows: int, num_bits: int, seed: int
-) -> Dict:
-    """Full segment pipeline (all four stages): the per-window streamed
-    path (``observe_window``, memoised scalar check) vs ``process_windows``
-    (one ``check_many`` pass), both through the same loop."""
-    # NULL_REGISTRY keeps these trajectory numbers telemetry-free; the
-    # instrumentation cost is measured separately by :func:`bench_telemetry`.
-    detector, segment = _fitted_segment(
-        n_groups, n_windows, num_bits, seed, metrics=telemetry.NULL_REGISTRY
-    )
-
-    # Clear the memo before each timed run so both paths start cold.
-    detector._correlation_checker.clear_cache()
-    t0 = time.perf_counter()
-    scalar_alerts = DiceBackend(detector).stream_segment(segment)
-    scalar_s = time.perf_counter() - t0
-    detector._correlation_checker.clear_cache()
-    t0 = time.perf_counter()
-    batch_report = detector.process_windows(segment)
-    batch_s = time.perf_counter() - t0
-    if scalar_alerts != batch_report.alerts:
-        raise AssertionError("streamed and batch segment alerts disagree")
-    return {
-        "groups": int(n_groups),
-        "windows": int(n_windows),
-        "scalar_s": scalar_s,
-        "batch_s": batch_s,
-        "detections": len(batch_report.detections),
-        "speedup": scalar_s / batch_s if batch_s > 0 else float("inf"),
-    }
-
-
-def bench_telemetry(
-    n_groups: int, n_windows: int, num_bits: int, seed: int, repeats: int = 5
-) -> Dict:
-    """Instrumentation overhead: the streamed segment path
-    (``DiceBackend.stream_segment``, which observes the per-window
-    ``dice_stage_seconds`` children) with a live
-    :class:`~repro.telemetry.MetricsRegistry` vs the disabled
-    ``NULL_REGISTRY`` twin.  The batch path writes nothing to the registry,
-    so it has no instrumentation to time.  The acceptance budget is ≤ 5 %
-    overhead.
-
-    Enabled and disabled runs are *interleaved* (off, on, off, on, ...) so
-    slow drift in machine load — thermal throttling, a background task
-    spinning up — hits both sides equally instead of being booked as
-    telemetry overhead; best-of then suppresses the per-run jitter."""
-    enabled, seg_on = _fitted_segment(
-        n_groups, n_windows, num_bits, seed, metrics=telemetry.MetricsRegistry()
-    )
-    disabled, seg_off = _fitted_segment(
-        n_groups, n_windows, num_bits, seed, metrics=telemetry.NULL_REGISTRY
-    )
-
-    def _timed(detector, segment):
-        detector._correlation_checker.clear_cache()
-        t0 = time.perf_counter()
-        alerts = DiceBackend(detector).stream_segment(segment)
-        return time.perf_counter() - t0, alerts
-
-    enabled_s = disabled_s = float("inf")
-    enabled_alerts = disabled_alerts = None
-    for i in range(repeats):
-        seconds, alerts = _timed(disabled, seg_off)
-        disabled_s = min(disabled_s, seconds)
-        if i == 0:
-            disabled_alerts = alerts
-        seconds, alerts = _timed(enabled, seg_on)
-        enabled_s = min(enabled_s, seconds)
-        if i == 0:
-            enabled_alerts = alerts
-
-    if enabled_alerts != disabled_alerts:
-        raise AssertionError("telemetry changed the segment alerts")
-    ratio = enabled_s / disabled_s if disabled_s > 0 else float("inf")
-    return {
-        "groups": int(n_groups),
-        "windows": int(n_windows),
-        "enabled_s": enabled_s,
-        "disabled_s": disabled_s,
-        "overhead_ratio": ratio,
-        "overhead_pct": (ratio - 1.0) * 100.0,
-    }
-
-
 def bench_provenance(seed: int, hours: float = 24.0, repeats: int = 5) -> Dict:
     """Evidence-recorder overhead on the hardened streaming hot path.
 
@@ -358,11 +135,12 @@ def bench_provenance(seed: int, hours: float = 24.0, repeats: int = 5) -> Dict:
     :class:`~repro.streaming.HardenedOnlineDice` twice: with the recorder
     replaced by ``NULL_PROVENANCE`` (the zero-cost twin) and with the
     default :class:`~repro.telemetry.ProvenanceRecorder`.  Arms are
-    interleaved like :func:`bench_telemetry` so machine-load drift hits
-    both equally, and the enabled arm's alert stream is asserted identical
-    to the baseline's — evidence capture must observe, never steer.  The
-    acceptance budget is ≤ 1.1x wall clock: the recorder only does real
-    work when an alert fires, which is rare relative to events.
+    interleaved (off, on, off, on, ...) so slow drift in machine load hits
+    both equally, best-of then suppresses the per-run jitter, and the
+    enabled arm's alert stream is asserted identical to the baseline's —
+    evidence capture must observe, never steer.  The acceptance budget is
+    ≤ 1.1x wall clock: the recorder only does real work when an alert
+    fires, which is rare relative to events.
     """
     from ..faults.crash import (
         LATENESS_SECONDS,
@@ -626,20 +404,14 @@ def bench_capacity(
 def run_benchmarks(
     quick: bool = False,
     seed: int = 0,
-    groups: Optional[int] = None,
-    windows: Optional[int] = None,
     num_bits: int = 96,
     capacity_homes: Optional[int] = None,
 ) -> Dict:
-    """Run every section; returns the ``BENCH_perf.json`` document."""
+    """Run both sections; returns the ``BENCH_perf.json`` document."""
     if quick:
-        default_groups, default_windows, fit_sizes = 120, 800, [500, 2000]
         cap_homes, cap_archetypes, cap_windows, cap_groups = 200, 3, 12, 1024
     else:
-        default_groups, default_windows, fit_sizes = 500, 5000, [2000, 8000, 16000]
         cap_homes, cap_archetypes, cap_windows, cap_groups = 1000, 4, 24, 4096
-    groups = default_groups if groups is None else groups
-    windows = default_windows if windows is None else windows
     if capacity_homes is not None:
         cap_homes = int(capacity_homes)
     doc = {
@@ -651,10 +423,6 @@ def run_benchmarks(
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "fit": bench_fit(fit_sizes, num_bits, seed),
-        "scan": [bench_scan(groups, windows, num_bits, seed)],
-        "segment": bench_detector_segment(groups, windows, num_bits, seed),
-        "telemetry": bench_telemetry(groups, windows, num_bits, seed),
         # The recorder's cost is per *alert*, so the gate needs enough
         # events for the per-event ratio to dominate setup jitter (the run
         # is still ~2 s).
@@ -693,6 +461,10 @@ def validate_document(doc: Dict) -> Dict:
     """
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("schema") == BENCH_SCHEMA, f"schema must be {BENCH_SCHEMA!r}")
+    _require(
+        set(doc) == _DOCUMENT_KEYS,
+        f"top-level keys must be {sorted(_DOCUMENT_KEYS)}, got {sorted(doc)}",
+    )
     _require(isinstance(doc.get("quick"), bool), "quick must be a bool")
     machine = doc.get("machine")
     _require(isinstance(machine, dict), "machine must be an object")
@@ -702,71 +474,6 @@ def validate_document(doc: Dict) -> Dict:
     )
     for key in ("python", "numpy"):
         _require(isinstance(machine.get(key), str), f"machine.{key} must be a string")
-
-    fit = doc.get("fit")
-    _require(isinstance(fit, list) and fit, "fit must be a non-empty list")
-    for row in fit:
-        for key in ("windows", "groups"):
-            _require(
-                isinstance(row.get(key), int) and row[key] > 0,
-                f"fit[].{key} must be a positive int",
-            )
-        _require(
-            isinstance(row.get("seconds"), (int, float)) and row["seconds"] >= 0,
-            "fit[].seconds must be a non-negative number",
-        )
-
-    scan = doc.get("scan")
-    _require(isinstance(scan, list) and scan, "scan must be a non-empty list")
-    for row in scan:
-        for key in ("groups", "windows", "num_bits"):
-            _require(
-                isinstance(row.get(key), int) and row[key] > 0,
-                f"scan[].{key} must be a positive int",
-            )
-        for key in (
-            "scalar_s",
-            "memoized_cold_s",
-            "memoized_warm_s",
-            "batch_cold_s",
-            "batch_warm_s",
-            "speedup_batch_vs_scalar",
-            "speedup_warm_vs_scalar",
-        ):
-            _require(
-                isinstance(row.get(key), (int, float)) and row[key] >= 0,
-                f"scan[].{key} must be a non-negative number",
-            )
-        for key in ("cache_hits", "cache_misses"):
-            _require(
-                isinstance(row.get(key), int) and row[key] >= 0,
-                f"scan[].{key} must be a non-negative int",
-            )
-
-    segment = doc.get("segment")
-    _require(isinstance(segment, dict), "segment must be an object")
-    for key in ("scalar_s", "batch_s", "speedup"):
-        _require(
-            isinstance(segment.get(key), (int, float)) and segment[key] >= 0,
-            f"segment.{key} must be a non-negative number",
-        )
-
-    tel = doc.get("telemetry")
-    _require(isinstance(tel, dict), "telemetry must be an object")
-    for key in ("groups", "windows"):
-        _require(
-            isinstance(tel.get(key), int) and tel[key] > 0,
-            f"telemetry.{key} must be a positive int",
-        )
-    for key in ("enabled_s", "disabled_s", "overhead_ratio"):
-        _require(
-            isinstance(tel.get(key), (int, float)) and tel[key] >= 0,
-            f"telemetry.{key} must be a non-negative number",
-        )
-    _require(
-        isinstance(tel.get("overhead_pct"), (int, float)),
-        "telemetry.overhead_pct must be a number",
-    )
 
     prov = doc.get("provenance")
     _require(isinstance(prov, dict), "provenance must be an object")

@@ -37,8 +37,7 @@ The subcommands cover the everyday workflows:
   clients heal, verify byte-identical per-home alerts and exact
   at-least-once accounting); exit 1 on any mismatch;
 * ``metrics`` — render a telemetry snapshot as a table, Prometheus text
-  exposition, or JSON; ``--watch`` re-reads it periodically with counter
-  rates derived from successive reads;
+  exposition, or JSON (``top`` re-reads one live, with rates);
 * ``explain`` — render the causal evidence chain behind one alert (by
   trace-id prefix, ``--seq`` or ``--last``) from a ``--provenance-out``
   file or every home's ``provenance.wal`` under a journal root;
@@ -49,11 +48,9 @@ The subcommands cover the everyday workflows:
   arity x attacks x drift x refresh stance through the streaming runtime
   and print per-cell precision/recall/detection-time (``-o`` writes the
   schema-validated deterministic report JSON);
-* ``bench`` — time the detection hot paths (fit, scalar vs memoised vs
-  batched correlation scan, the segment pipeline, telemetry and
-  provenance overhead, estate-scale capacity A/B) and write
-  ``BENCH_perf.json``; ``perfbench/`` is the benchmark of record for the
-  served and evaluation paths.
+* ``bench`` — the provenance-overhead and estate-scale capacity A/B
+  sections CI gates, written to ``BENCH_perf.json``; ``perfbench/`` is
+  the benchmark of record for the served and evaluation paths.
 
 Primary results go to **stdout**; diagnostics (resume/checkpoint notices,
 errors, state changes) go through the structured logger on stderr —
@@ -139,7 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--workers", type=_worker_count, default=1)
 
     bench = sub.add_parser(
-        "bench", help="time the detection hot paths; write BENCH_perf.json"
+        "bench",
+        help="time provenance overhead and the capacity A/B; write "
+        "BENCH_perf.json",
     )
     bench.add_argument(
         "--quick", action="store_true",
@@ -149,12 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default="BENCH_perf.json", help="output JSON path"
     )
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--groups", type=int, default=None, help="scan section: group count"
-    )
-    bench.add_argument(
-        "--windows", type=int, default=None, help="scan section: window count"
-    )
     bench.add_argument(
         "--capacity-homes", type=int, default=None, metavar="H",
         help="capacity section: fleet size for the shared-vs-replicated A/B "
@@ -464,15 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
     metrics.add_argument(
         "--format", choices=["table", "prom", "json"], default="table",
         help="pretty table (default), Prometheus text exposition, or JSON",
-    )
-    metrics.add_argument(
-        "--watch", type=float, default=None, metavar="SECONDS",
-        help="re-read and re-render the snapshot every SECONDS, with "
-        "counter rates derived from successive reads",
-    )
-    metrics.add_argument(
-        "--iterations", type=int, default=None,
-        help="with --watch: stop after N refreshes (default: until ^C)",
     )
 
     explain = sub.add_parser(
@@ -1379,44 +1363,10 @@ def _render_snapshot(snapshot: dict, fmt: str) -> str:
 
 
 def _cmd_metrics(args) -> int:
-    if args.watch is None:
-        snapshot = _read_snapshot(args.snapshot)
-        if snapshot is None:
-            return 2
-        print(_render_snapshot(snapshot, args.format))
-        return 0
-
-    import time
-
-    from .telemetry import SnapshotSampler
-
-    if args.watch <= 0:
-        _log.error("bad_watch", reason="--watch must be positive")
+    snapshot = _read_snapshot(args.snapshot)
+    if snapshot is None:
         return 2
-    sampler = SnapshotSampler()
-    iteration = 0
-    try:
-        while True:
-            snapshot = _read_snapshot(args.snapshot)
-            if snapshot is None:
-                return 2
-            sampler.add(time.monotonic(), snapshot)
-            print(_render_snapshot(snapshot, args.format))
-            rates = "  ".join(
-                f"{label} {('n/a' if rate is None else f'{rate:.2f}/s')}"
-                for label, rate in (
-                    ("windows", sampler.counter_rate("dice_windows_total")),
-                    ("alerts", sampler.counter_rate("dice_alerts_total")),
-                    ("drops", sampler.counter_rate("dice_ingest_dropped_total")),
-                )
-            )
-            print(f"-- refresh {iteration + 1}: {rates}")
-            iteration += 1
-            if args.iterations is not None and iteration >= args.iterations:
-                break
-            time.sleep(args.watch)
-    except KeyboardInterrupt:
-        pass
+    print(_render_snapshot(snapshot, args.format))
     return 0
 
 
@@ -1535,41 +1485,17 @@ def _cmd_bench(args) -> int:
     from .bench.perf import write_document
 
     checks = [
-        (value is None or value >= 1, f"{flag} must be at least 1")
-        for flag, value in (
-            ("--groups", args.groups),
-            ("--windows", args.windows),
-            ("--capacity-homes", args.capacity_homes),
+        (
+            args.capacity_homes is None or args.capacity_homes >= 1,
+            "--capacity-homes must be at least 1",
         )
     ]
     if not _flags_ok("bad_bench", checks):
         return 2
     doc = run_benchmarks(
-        quick=args.quick,
-        seed=args.seed,
-        groups=args.groups,
-        windows=args.windows,
-        capacity_homes=args.capacity_homes,
+        quick=args.quick, seed=args.seed, capacity_homes=args.capacity_homes
     )
     write_document(doc, args.output)
-    scan = doc["scan"][0]
-    print(
-        f"scan: {scan['groups']} groups x {scan['windows']} windows  "
-        f"scalar {1e3 * scan['scalar_s']:.1f} ms  "
-        f"batch {1e3 * scan['batch_cold_s']:.1f} ms  "
-        f"({scan['speedup_batch_vs_scalar']:.1f}x, "
-        f"warm {scan['speedup_warm_vs_scalar']:.1f}x)"
-    )
-    segment = doc["segment"]
-    print(
-        f"segment: full pipeline batch vs scalar {segment['speedup']:.1f}x "
-        f"({1e3 * segment['scalar_s']:.1f} -> {1e3 * segment['batch_s']:.1f} ms)"
-    )
-    tel = doc["telemetry"]
-    print(
-        f"telemetry: overhead {tel['overhead_pct']:+.1f}% "
-        f"({1e3 * tel['disabled_s']:.1f} -> {1e3 * tel['enabled_s']:.1f} ms)"
-    )
     cap = doc["capacity"]
     print(
         f"capacity: {cap['homes']} homes from {cap['archetypes']} archetypes  "

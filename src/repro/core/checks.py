@@ -160,18 +160,11 @@ class CorrelationChecker:
     scan per window, with results identical to the scalar :meth:`check`.
     """
 
-    def __init__(
-        self,
-        groups: GroupRegistry,
-        config: DiceConfig,
-        cache_size: Optional[int] = None,
-    ) -> None:
+    def __init__(self, groups: GroupRegistry, config: DiceConfig) -> None:
         self.groups = groups
         self.config = config
         self.max_distance = config.candidate_distance(groups.layout.has_numeric)
-        self._cache_size = (
-            config.correlation_cache_size if cache_size is None else cache_size
-        )
+        self._cache_size = config.correlation_cache_size
         self._cache: "OrderedDict[int, CorrelationResult]" = OrderedDict()
         self._cache_version = groups.version
         self.cache_hits = 0

@@ -380,23 +380,13 @@ class DiceDetector:
     def process(self, trace: Trace) -> SegmentReport:
         """Run the real-time phase over a segment trace."""
         model = self._require_fitted()
-        t0 = time.perf_counter()
-        windowed = model.encoder.encode(trace)
-        encoding_s = time.perf_counter() - t0
-        report = self._run_segment(windowed)
-        report.timings.encoding_s += encoding_s
-        return report
-
-    def process_windows(self, windowed: WindowedTrace) -> SegmentReport:
-        """Real-time phase over pre-encoded windows."""
-        self._require_fitted()
-        return self._run_segment(windowed)
-
-    def _run_segment(self, windowed: WindowedTrace) -> SegmentReport:
         # backend.py builds on this module, so the import waits until here.
         from .backend import DiceBackend
 
         timings = StageTimings()
+        t0 = time.perf_counter()
+        windowed = model.encoder.encode(trace)
+        timings.encoding_s += time.perf_counter() - t0
         alerts = DiceBackend(self).run_segment(windowed, timings)
         return SegmentReport(
             len(windowed), windowed.window_seconds, windowed.start, alerts, timings

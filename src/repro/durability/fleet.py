@@ -123,10 +123,6 @@ class DurableFleetGateway:
     # ------------------------------------------------------------------ #
 
     @property
-    def alerts(self) -> List[FleetAlert]:
-        return self.gateway.alerts
-
-    @property
     def num_shards(self) -> int:
         return self.gateway.num_shards
 
@@ -386,7 +382,6 @@ class DurableFleetGateway:
                 alerts = runtime.ingest(record_to_event(record))
                 if alerts:
                     fresh = [FleetAlert(home_id, alert) for alert in alerts]
-                    gateway.alerts.extend(fresh)
                     replayed.extend(durable._publish(fresh))
         durable.commit()
         elapsed = time.perf_counter() - t0

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import time
 from typing import Callable, Dict, List, Optional, Set, Union
 
@@ -145,15 +146,11 @@ class AlertOutbox:
         ``min(max_delay, base_delay * 2**(n-1)) * (1 + jitter * U[0,1))``.
     sleep:
         Injectable clock (tests pass a recorder; production the default).
-    rng:
-        Jitter source; ``random.Random`` instance or anything with
-        ``random()``.  Takes precedence over *jitter_seed*.
     jitter_seed:
-        Seed for the default jitter source, so chaos trials and retry
-        tests replay a byte-identical backoff schedule; two outboxes with
-        the same seed (and no explicit *rng*) draw the same delays.
-        Defaults to 0 — the backoff sequence has always been
-        deterministic-by-default.
+        Seed for the jitter source, so chaos trials and retry tests replay
+        a byte-identical backoff schedule; two outboxes with the same seed
+        draw the same delays.  Defaults to 0 — the backoff sequence has
+        always been deterministic-by-default.
     """
 
     def __init__(
@@ -166,7 +163,6 @@ class AlertOutbox:
         max_delay: float = 2.0,
         jitter: float = 0.5,
         sleep: Callable[[float], None] = time.sleep,
-        rng=None,
         jitter_seed: Optional[int] = None,
         metrics: Optional["telemetry.MetricsRegistry"] = None,
     ) -> None:
@@ -180,11 +176,7 @@ class AlertOutbox:
         self.max_delay = float(max_delay)
         self.jitter = float(jitter)
         self.sleep = sleep
-        if rng is None:
-            import random
-
-            rng = random.Random(0 if jitter_seed is None else jitter_seed)
-        self.rng = rng
+        self.rng = random.Random(0 if jitter_seed is None else jitter_seed)
         self.metrics = metrics if metrics is not None else telemetry.NULL_REGISTRY
         self._offered_counter = self.metrics.counter(
             OUTBOX_OFFERED_TOTAL, "Alerts offered to the outbox"

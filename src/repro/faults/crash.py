@@ -536,12 +536,12 @@ def run_fleet_trial(
         durable.dispatch(merged[:checkpoint_index])
         durable.save_checkpoint(ckpt_dir)
         for home_id in homes:
-            prefix[home_id] = list(durable.alerts_of(home_id))
+            prefix[home_id] = durable.alerts_of(home_id)
             at_checkpoint[home_id] = alerts_total(durable, home_id)
         durable.dispatch(merged[checkpoint_index:kill_index])
         if save_at_kill:
             prefixes.append(
-                {home_id: list(durable.alerts_of(home_id)) for home_id in homes}
+                {home_id: durable.alerts_of(home_id) for home_id in homes}
             )
             try:
                 durable.save_checkpoint(ckpt_dir)

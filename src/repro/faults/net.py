@@ -342,7 +342,7 @@ def run_service_trial(
         def do_checkpoint() -> Dict[str, List[Alert]]:
             durable.save_checkpoint(ckpt_dir)
             return {
-                dep.home_id: list(durable.alerts_of(dep.home_id))
+                dep.home_id: durable.alerts_of(dep.home_id)
                 for dep in deployments
             }
 

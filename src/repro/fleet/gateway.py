@@ -116,7 +116,6 @@ class FleetGateway:
         self._runtimes: Dict[str, HardenedOnlineDice] = {}
         #: home id → shard label, fixed when the home attaches.
         self._shard_labels: Dict[str, str] = {}
-        self.alerts: List[FleetAlert] = []
         self.unrouted = 0
         self.metrics = (
             metrics if metrics is not None else telemetry.MetricsRegistry()
@@ -270,7 +269,6 @@ class FleetGateway:
         for shard, count in routed.items():
             self._events_counter.labels(shard=shard).inc(count)
         self._dispatch_counter.inc()
-        self.alerts.extend(fresh)
         return fresh
 
     def advance_to(self, timestamp: float) -> List[FleetAlert]:
@@ -281,13 +279,11 @@ class FleetGateway:
         the parity-pinned drivers (tests, bench, CLI) are therefore purely
         event-driven and call :meth:`finish` once at end-of-stream.
         """
-        fresh = [
+        return [
             FleetAlert(home_id, alert)
             for home_id, runtime in self._runtimes.items()
             for alert in runtime.advance_to(timestamp)
         ]
-        self.alerts.extend(fresh)
-        return fresh
 
     def finish(
         self, ends: Union[None, float, Dict[str, float]] = None
@@ -299,15 +295,13 @@ class FleetGateway:
         a quiet tail).
         """
         single = ends is None or isinstance(ends, (int, float))
-        fresh = [
+        return [
             FleetAlert(home_id, alert)
             for home_id, runtime in self._runtimes.items()
             for alert in runtime.finish_stream(
                 ends if single else ends.get(home_id)
             )
         ]
-        self.alerts.extend(fresh)
-        return fresh
 
     def finish_home(
         self, home_id: str, end: Optional[float] = None
@@ -315,17 +309,16 @@ class FleetGateway:
         """End-of-stream for a single home (the ingest service's per-stream
         close), leaving every other home's stream open."""
         runtime = self._runtimes[home_id]
-        fresh = [FleetAlert(home_id, alert) for alert in runtime.finish_stream(end)]
-        self.alerts.extend(fresh)
-        return fresh
+        return [FleetAlert(home_id, alert) for alert in runtime.finish_stream(end)]
 
     # ------------------------------------------------------------------ #
     # Observability
     # ------------------------------------------------------------------ #
 
     def alerts_of(self, home_id: str) -> List[Alert]:
-        """One home's alert sequence, in emission order."""
-        return [fa.alert for fa in self.alerts if fa.home_id == home_id]
+        """A copy of one home's alert sequence (its runtime's history), in
+        emission order."""
+        return list(self._runtimes[home_id].alerts)
 
     def memory_report(self) -> dict:
         """Fleet memory accounting: trained-state bytes as hosted (shared)
@@ -380,12 +373,11 @@ class FleetGateway:
         """JSON-serializable fleet health: routing totals plus a per-home
         rollup of the numbers an operator triages by."""
         alert_counts: Dict[str, int] = {}
-        for fleet_alert in self.alerts:
-            kind = fleet_alert.alert.kind
-            alert_counts[kind] = alert_counts.get(kind, 0) + 1
         homes = {}
         for home_id in sorted(self._runtimes):
             runtime = self._runtimes[home_id]
+            for alert in runtime.alerts:
+                alert_counts[alert.kind] = alert_counts.get(alert.kind, 0) + 1
             homes[home_id] = {
                 "shard": self.shard_index_of(home_id),
                 "backend": runtime.backend.name,

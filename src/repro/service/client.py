@@ -141,7 +141,6 @@ class ServiceClient:
         max_delay: float = 2.0,
         jitter: float = 0.5,
         jitter_seed: Optional[int] = None,
-        rng=None,
         io_timeout: float = 10.0,
         sleep=time.sleep,
         fault_injector=None,
@@ -154,9 +153,7 @@ class ServiceClient:
         self.base_delay = float(base_delay)
         self.max_delay = float(max_delay)
         self.jitter = float(jitter)
-        self.rng = rng if rng is not None else random.Random(
-            0 if jitter_seed is None else jitter_seed
-        )
+        self.rng = random.Random(0 if jitter_seed is None else jitter_seed)
         self.io_timeout = float(io_timeout)
         self.sleep = sleep
         self.fault_injector = fault_injector

@@ -15,8 +15,9 @@ and derives both on demand:
   ratio, so ``1.0`` means "burning exactly the error budget".
 
 Everything is a pure function of the sampled snapshots: the sampler never
-reads clocks or counters itself, which keeps it trivially testable and
-shareable between ``repro top`` and ``repro metrics --watch``.
+reads clocks or counters itself, which keeps it trivially testable.
+``repro top`` is the one live viewer: it feeds the sampler a re-read
+snapshot per refresh and prints :func:`render_dashboard`.
 """
 
 from __future__ import annotations

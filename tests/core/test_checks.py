@@ -167,7 +167,7 @@ class TestCorrelationCache:
 
     def test_cache_size_zero_disables_memoisation(self, registry):
         groups = groups_with(registry, [0b01])
-        checker = CorrelationChecker(groups, DiceConfig(), cache_size=0)
+        checker = CorrelationChecker(groups, DiceConfig(correlation_cache_size=0))
         checker.check(0b01)
         checker.check(0b01)
         info = checker.cache_info()
@@ -177,7 +177,7 @@ class TestCorrelationCache:
 
     def test_lru_evicts_oldest_entry(self, registry):
         groups = groups_with(registry, [0b01, 0b10, 0b11])
-        checker = CorrelationChecker(groups, DiceConfig(), cache_size=2)
+        checker = CorrelationChecker(groups, DiceConfig(correlation_cache_size=2))
         checker.check(0b01)
         checker.check(0b10)
         checker.check(0b01)  # touch 0b01 so 0b10 is now the LRU entry
@@ -208,7 +208,7 @@ class TestCorrelationCache:
     def test_check_many_without_cache_matches_scan(self, registry):
         groups = groups_with(registry, [0b001, 0b011])
         probes = [0b001, 0b010, 0b001]
-        checker = CorrelationChecker(groups, DiceConfig(), cache_size=0)
+        checker = CorrelationChecker(groups, DiceConfig(correlation_cache_size=0))
         assert checker.check_many(probes) == [checker.scan(m) for m in probes]
 
     def test_check_many_empty_registry(self, registry):

@@ -72,4 +72,8 @@ def test_fleet_alerts_attribute_their_home(fleet_homes, fleet_detectors):
     hosted = set(gateway.home_ids)
     assert {fa.home_id for fa in alerts} <= hosted
     total = sum(len(gateway.alerts_of(home_id)) for home_id in hosted)
-    assert total == len(gateway.alerts)
+    assert total == len(alerts)
+    for home_id in hosted:
+        assert gateway.alerts_of(home_id) == [
+            fa.alert for fa in alerts if fa.home_id == home_id
+        ]

@@ -542,6 +542,24 @@ class TestMetrics:
         assert main(["metrics", str(tmp_path / "missing.json")]) == 2
 
 
+class TestTop:
+    def test_once_prints_one_dashboard_frame(self, tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        assert main(TestStream.ARGS + ["--metrics-out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["top", "--metrics", str(path), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("DICE top — 1 sample(s)")
+        assert out.count("DICE top") == 1
+        for row in ("windows:", "alerts:", "drops:", "latency:", "SLO burn:"):
+            assert row in out
+
+    def test_missing_snapshot_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["top", "--metrics", str(missing), "--once"]) == 2
+        _one_error_line(capsys.readouterr().err, "bad_snapshot", str(missing))
+
+
 class TestExperiment:
     def test_degree_table(self, capsys):
         code = main(
@@ -581,20 +599,14 @@ class TestBench:
         from repro.bench import BENCH_SCHEMA, validate_document
 
         out = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench", "--quick",
-                "--groups", "40",
-                "--windows", "200",
-                "-o", str(out),
-            ]
-        )
-        assert code == 0
-        assert "scan:" in capsys.readouterr().out
+        assert main(["bench", "--quick", "-o", str(out)]) == 0
+        assert "capacity:" in capsys.readouterr().out
         doc = json.loads(out.read_text())
         assert doc["schema"] == BENCH_SCHEMA
         assert validate_document(doc) is doc
-        assert doc["scan"][0]["groups"] == 40
+        assert sorted(doc) == [
+            "capacity", "machine", "provenance", "quick", "schema", "seed"
+        ]
         assert doc["provenance"]["alerts_identical"] is True
         assert doc["provenance"]["events"] > 0
         assert doc["provenance"]["overhead_ratio"] >= 0
@@ -607,11 +619,12 @@ class TestBench:
         bad["capacity"]["alerts_identical"] = False
         with pytest.raises(ValueError):
             validate_document(bad)
+        # A section the harness no longer writes must not ride along.
+        bad = dict(doc, scan=[{"groups": 500, "windows": 5000, "num_bits": 96}])
+        with pytest.raises(ValueError, match="top-level keys"):
+            validate_document(bad)
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--groups", "0"), ("--windows", "-5"), ("--capacity-homes", "0")],
-    )
+    @pytest.mark.parametrize("flag, value", [("--capacity-homes", "0")])
     def test_bad_parameters_exit_2(self, flag, value, tmp_path, capsys):
         out = tmp_path / "bench.json"
         assert main(["bench", "--quick", flag, value, "-o", str(out)]) == 2
