@@ -36,14 +36,11 @@ The subcommands cover the everyday workflows:
   live loopback server under network faults, restart it, let retrying
   clients heal, verify byte-identical per-home alerts and exact
   at-least-once accounting); exit 1 on any mismatch;
-* ``metrics`` — render a telemetry snapshot as a table, Prometheus text
-  exposition, or JSON (``top`` re-reads one live, with rates);
+* ``metrics`` — render a telemetry snapshot as a table (each histogram
+  series with its p50/p95/p99), Prometheus text exposition, or JSON;
 * ``explain`` — render the causal evidence chain behind one alert (by
   trace-id prefix, ``--seq`` or ``--last``) from a ``--provenance-out``
   file or every home's ``provenance.wal`` under a journal root;
-* ``top`` — live terminal dashboard over a re-read metrics snapshot:
-  events/s per shard, alert/drop rates, detection-latency percentiles,
-  reorder lag and SLO burn;
 * ``scenarios`` — the robustness matrix: sweep fault class x dataset x
   arity x attacks x drift x refresh stance through the streaming runtime
   and print per-cell precision/recall/detection-time (``-o`` writes the
@@ -488,28 +485,6 @@ def _build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--json", action="store_true", dest="as_json",
         help="print the raw evidence record instead of the narrative",
-    )
-
-    top = sub.add_parser(
-        "top",
-        help="live terminal dashboard over a metrics snapshot file "
-        "(events/s per shard, alert/drop rates, latency percentiles, "
-        "SLO burn)",
-    )
-    top.add_argument(
-        "--metrics", required=True, metavar="PATH",
-        help="metrics snapshot JSON re-read every refresh "
-        "(see stream/fleet --metrics-out)",
-    )
-    top.add_argument(
-        "--interval", type=float, default=2.0, help="refresh period in seconds"
-    )
-    top.add_argument(
-        "--iterations", type=int, default=None,
-        help="stop after N refreshes (default: until ^C)",
-    )
-    top.add_argument(
-        "--once", action="store_true", help="render a single frame and exit"
     )
     return parser
 
@@ -966,8 +941,9 @@ def _cmd_fleet(args) -> int:
             "fleet checkpoint saved, streams left open", path=args.save_checkpoint
         )
 
-    entry = gateway.metrics_snapshot()["metrics"].get("dice_fleet_events_total")
-    events = int(sum(row["value"] for row in entry["series"])) if entry else 0
+    events = int(
+        telemetry.counter_total(gateway.metrics_snapshot(), "dice_fleet_events_total")
+    )
     print(
         f"fleet: {len(gateway)} homes on {gateway.num_shards} shards "
         f"({args.hours:.0f} h each, {args.train_hours:.0f} h training)"
@@ -1342,24 +1318,39 @@ def _render_snapshot(snapshot: dict, fmt: str) -> str:
     import json
 
     from .eval.report import format_table
-    from .telemetry import to_prometheus
+    from .telemetry import histogram_quantile, to_prometheus
 
     if fmt == "json":
         return json.dumps(snapshot, indent=2, sort_keys=True)
     if fmt == "prom":
         return to_prometheus(snapshot).rstrip("\n")
     rows = []
+    suffixes = []
     for name, entry in sorted(snapshot["metrics"].items()):
         for row in entry["series"]:
             labels = ",".join(f"{k}={v}" for k, v in row.get("labels", {}).items())
+            suffix = ""
             if entry["type"] == "histogram":
                 value = (
                     f"count={row['count']} sum={row['sum']:.6g}"
                 )
+                quantiles = []
+                for q in (50, 95, 99):
+                    p = histogram_quantile(snapshot, name, q / 100, row.get("labels"))
+                    quantiles.append(f"p{q}=" + ("n/a" if p is None else f"{p:.3g}"))
+                suffix = "  " + " ".join(quantiles)
             else:
                 value = f"{row['value']:g}"
             rows.append([name, entry["type"], labels or "-", value])
-    return format_table(["metric", "type", "labels", "value"], rows)
+            suffixes.append(suffix)
+    header, rule, *lines = format_table(
+        ["metric", "type", "labels", "value"], rows
+    ).split("\n")
+    # The quantiles trail the padded value column, so they line up and
+    # every other row keeps its width.
+    return "\n".join(
+        [header, rule] + [line + suffix for line, suffix in zip(lines, suffixes)]
+    )
 
 
 def _cmd_metrics(args) -> int:
@@ -1451,35 +1442,6 @@ def _cmd_explain(args) -> int:
     return 0
 
 
-def _cmd_top(args) -> int:
-    import time
-
-    from .telemetry import SnapshotSampler, render_dashboard
-
-    if args.interval <= 0:
-        _log.error("bad_top", reason="--interval must be positive")
-        return 2
-    sampler = SnapshotSampler()
-    max_iterations = 1 if args.once else args.iterations
-    iteration = 0
-    try:
-        while True:
-            snapshot = _read_snapshot(args.metrics)
-            if snapshot is None:
-                return 2
-            sampler.add(time.monotonic(), snapshot)
-            if sys.stdout.isatty() and iteration > 0:  # pragma: no cover
-                sys.stdout.write("\033[2J\033[H")
-            print(render_dashboard(sampler))
-            iteration += 1
-            if max_iterations is not None and iteration >= max_iterations:
-                break
-            time.sleep(args.interval)
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
-    return 0
-
-
 def _cmd_bench(args) -> int:
     from .bench import run_benchmarks
     from .bench.perf import write_document
@@ -1547,8 +1509,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_metrics(args)
         if args.command == "explain":
             return _cmd_explain(args)
-        if args.command == "top":
-            return _cmd_top(args)
         if args.command == "bench":
             return _cmd_bench(args)
         raise AssertionError(f"unhandled command {args.command!r}")

@@ -72,7 +72,8 @@ SEGMENT_PREFIX = "journal-"
 SEGMENT_SUFFIX = ".wal"
 _SEGMENT_RE = re.compile(r"^journal-(\d{8})\.wal$")
 
-_HEADER = struct.Struct(">II")  # (payload length, CRC32 of payload)
+#: The frame header: payload length and CRC32 of the payload.
+FRAME_HEADER = struct.Struct(">II")
 
 #: A single journal record may not exceed this (sanity bound: a frame
 #: whose length field decodes past it is corruption, not a real record).
@@ -95,7 +96,26 @@ def frame_payload(payload: bytes) -> bytes:
     """Wrap already-serialized payload bytes in the record frame."""
     if len(payload) > MAX_RECORD_BYTES:
         raise JournalError(f"record of {len(payload)} bytes exceeds {MAX_RECORD_BYTES}")
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def decode_payload(payload: bytes, crc: int) -> object:
+    """The JSON value a frame's *payload* holds, checked against the
+    *crc* its header carries.
+
+    A CRC mismatch or a payload that is not UTF-8 JSON raises
+    :class:`ValueError` naming which.  The log reader and the service's
+    wire decoder both check frames here; each bounds the length before
+    reading a payload and decides what a failed frame means.
+    """
+    if zlib.crc32(payload) != crc:
+        raise ValueError("frame CRC mismatch")
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except (ValueError, RecursionError):
+        # ValueError covers UnicodeDecodeError and JSONDecodeError; a
+        # payload nested past the recursion limit raises RecursionError.
+        raise ValueError("frame payload is not valid JSON") from None
 
 
 def encode_record(record: dict) -> bytes:
@@ -135,7 +155,7 @@ class SegmentReader:
             return
         with open(self.path, "rb") as handle:
             while True:
-                header = handle.read(_HEADER.size)
+                header = handle.read(FRAME_HEADER.size)
                 if not header:
                     return
                 frame = _read_frame(handle, header)
@@ -162,17 +182,17 @@ class SegmentReader:
 
 def _read_frame(handle, header: bytes) -> Optional[Tuple[object, int]]:
     """``(record, frame size)`` of the frame *header* opens; None if torn."""
-    if len(header) < _HEADER.size:
+    if len(header) < FRAME_HEADER.size:
         return None
-    length, crc = _HEADER.unpack(header)
+    length, crc = FRAME_HEADER.unpack(header)
     if length > MAX_RECORD_BYTES:
         return None
     payload = handle.read(length)
-    if len(payload) < length or zlib.crc32(payload) != crc:
+    if len(payload) < length:
         return None
     try:
-        return json.loads(payload.decode("utf-8")), _HEADER.size + length
-    except (UnicodeDecodeError, ValueError):
+        return decode_payload(payload, crc), FRAME_HEADER.size + length
+    except ValueError:
         return None
 
 

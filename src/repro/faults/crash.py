@@ -249,13 +249,6 @@ def canonical_provenance(records: Sequence[dict]) -> Dict[str, bytes]:
     return {record["id"]: canonical_record_bytes(record) for record in records}
 
 
-def _counter_total(metrics: "telemetry.MetricsRegistry", name: str) -> float:
-    entry = metrics.snapshot()["metrics"].get(name)
-    if entry is None:
-        return 0.0
-    return float(sum(row["value"] for row in entry["series"]))
-
-
 def _expected_ids(home_id: str, alerts: Sequence[Alert]) -> List[str]:
     return [
         alert_record(home_id, seq, alert)["id"]
@@ -516,7 +509,9 @@ def run_fleet_trial(
         )
 
     def alerts_total(gateway, home_id: str) -> float:
-        return _counter_total(gateway.runtime_of(home_id).metrics, ALERTS_TOTAL)
+        return telemetry.counter_total(
+            gateway.runtime_of(home_id).metrics.snapshot(), ALERTS_TOTAL
+        )
 
     # --- life before the crash ---------------------------------------- #
     detectors = {dep.home_id: dep.fit_detector() for dep in deployments}

@@ -56,7 +56,6 @@ from .crash import (
     ChaosDeployment,
     ChaosReport,
     CrashTrialResult,
-    _counter_total,
     _expected_ids,
     _fresh_fleet,
     build_chaos_fleet,
@@ -441,7 +440,9 @@ def run_service_trial(
         for home_id in expected
     )
     counters_monotone = healthy and all(
-        _counter_total(recovered.gateway.runtime_of(home_id).metrics, ALERTS_TOTAL)
+        telemetry.counter_total(
+            recovered.gateway.runtime_of(home_id).metrics.snapshot(), ALERTS_TOTAL
+        )
         == float(len(expected[home_id]))
         for home_id in expected
     )

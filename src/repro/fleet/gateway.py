@@ -18,8 +18,7 @@ streams the way a standalone ``finish_stream`` would.  (The fleet-level
 
 Telemetry stays shared-nothing too: every home's runtime records into its
 own detector's registry, and :meth:`metrics_snapshot` joins them with
-:func:`~repro.telemetry.merge_many` — the same worker-join primitive the
-parallel evaluation runner uses.
+:func:`~repro.telemetry.merge_many`.
 
 Two capacity layers ride on the invisibility guarantee, both always on
 and both per-home-parity-preserving:
@@ -376,8 +375,8 @@ class FleetGateway:
         homes = {}
         for home_id in sorted(self._runtimes):
             runtime = self._runtimes[home_id]
-            for alert in runtime.alerts:
-                alert_counts[alert.kind] = alert_counts.get(alert.kind, 0) + 1
+            for kind, count in runtime.alert_counts.items():
+                alert_counts[kind] = alert_counts.get(kind, 0) + count
             homes[home_id] = {
                 "shard": self.shard_index_of(home_id),
                 "backend": runtime.backend.name,

@@ -40,10 +40,9 @@ ends), so torn writes cost only the torn frame.
 from __future__ import annotations
 
 import json
-import zlib
 from typing import List, Optional
 
-from ..durability.journal import _HEADER, MAX_RECORD_BYTES, frame_payload
+from ..durability.journal import FRAME_HEADER, MAX_RECORD_BYTES, decode_payload, frame_payload
 
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
@@ -66,7 +65,7 @@ __all__ = [
 #: rejected before it can make the decoder buffer a meaningless megabyte.
 DEFAULT_MAX_FRAME_BYTES = 1 << 16
 
-HEADER_SIZE = _HEADER.size
+HEADER_SIZE = FRAME_HEADER.size
 
 
 class ProtocolError(ValueError):
@@ -163,7 +162,7 @@ class FrameDecoder:
         while True:
             if len(self._buffer) < HEADER_SIZE:
                 return messages
-            length, crc = _HEADER.unpack_from(self._buffer)
+            length, crc = FRAME_HEADER.unpack_from(self._buffer)
             if length > self.max_frame_bytes:
                 raise self._fail(
                     f"frame of {length} bytes exceeds {self.max_frame_bytes}",
@@ -173,12 +172,10 @@ class FrameDecoder:
             if len(self._buffer) < frame_end:
                 return messages
             payload = bytes(self._buffer[HEADER_SIZE:frame_end])
-            if zlib.crc32(payload) != crc:
-                raise self._fail("frame CRC mismatch", messages)
             try:
-                message = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                raise self._fail("frame payload is not valid JSON", messages)
+                message = decode_payload(payload, crc)
+            except ValueError as exc:
+                raise self._fail(str(exc), messages)
             if not isinstance(message, dict) or not isinstance(
                 message.get("type"), str
             ):

@@ -110,6 +110,9 @@ class OnlineDice:
         self.detector = backend.dice_detector
         self.windower = OnlineWindower(backend.encoder, start=start)
         self.alerts: List[Alert] = []
+        #: Alerts raised so far by kind, in first-raised order: what
+        #: ``health()`` reports without walking :attr:`alerts`.
+        self.alert_counts: Dict[str, int] = {}
         #: Evidence recorder; the plain facade defaults off (cost parity
         #: with the pre-provenance runtime), the hardened one defaults on.
         self.provenance = (
@@ -224,7 +227,9 @@ class OnlineDice:
         return fresh
 
     def _note_alerts(self, fresh: List[Alert]) -> None:
+        counts = self.alert_counts
         for alert in fresh:
+            counts[alert.kind] = counts.get(alert.kind, 0) + 1
             self._alerts_counter.labels(kind=alert.kind).inc()
             _log.info(
                 "alert",
@@ -433,9 +438,6 @@ class HardenedOnlineDice(OnlineDice):
             if health is not None:
                 states[device.device_id] = health.status.value
         states = dict(sorted(states.items()))
-        alert_counts: Dict[str, int] = {}
-        for alert in self.alerts:
-            alert_counts[alert.kind] = alert_counts.get(alert.kind, 0) + 1
         return {
             "devices": states,
             "supervisor_states": self.supervisor.state_counts(),
@@ -450,7 +452,7 @@ class HardenedOnlineDice(OnlineDice):
                 "by_reason": self.drops.summary(),
             },
             "refresh": self.refresher.stats(),
-            "alerts": alert_counts,
+            "alerts": dict(self.alert_counts),
         }
 
     # ------------------------------------------------------------------ #

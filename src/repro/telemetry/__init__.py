@@ -39,10 +39,11 @@ from .registry import (
     NULL_REGISTRY,
     SNAPSHOT_SCHEMA,
     MetricsRegistry,
+    counter_total,
+    histogram_quantile,
     merge_many,
     merge_snapshots,
 )
-from .sampler import SnapshotSampler, render_dashboard
 
 _default_registry = MetricsRegistry()
 
@@ -69,16 +70,16 @@ __all__ = [
     "PROVENANCE_SCHEMA",
     "ProvenanceRecorder",
     "SNAPSHOT_SCHEMA",
-    "SnapshotSampler",
     "TelemetryLogger",
     "alert_body",
     "configure",
+    "counter_total",
     "current_config",
     "get_logger",
     "get_registry",
+    "histogram_quantile",
     "merge_many",
     "merge_snapshots",
-    "render_dashboard",
     "render_explanation",
     "resolve",
     "to_prometheus",

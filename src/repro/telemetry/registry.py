@@ -16,18 +16,19 @@ device supervisor — records what it does into one
   stage cost).  Buckets are cumulative at export time, Prometheus-style.
 
 Everything is thread-safe behind one registry lock, snapshot-able as plain
-JSON (:meth:`MetricsRegistry.snapshot`), and mergeable across processes
-(:func:`merge_snapshots`) so parallel evaluation workers can be summed at
-join.  :data:`NULL_REGISTRY` is the disabled twin: every operation is a
-no-op, which is what the telemetry-parity and overhead guarantees are
-measured against.
+JSON (:meth:`MetricsRegistry.snapshot`), and mergeable
+(:func:`merge_snapshots`), so a fleet's per-home registries sum to one
+snapshot.  :func:`counter_total` and :func:`histogram_quantile` read a
+snapshot back.  :data:`NULL_REGISTRY` is the disabled twin: every
+operation is a no-op, which is what the telemetry-parity tests compare
+against.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 SNAPSHOT_SCHEMA = "dice-metrics/1"
 
@@ -368,10 +369,10 @@ NULL_REGISTRY = MetricsRegistry(enabled=False)
 def merge_snapshots(base: dict, other: dict) -> dict:
     """Sum two snapshots: counters and histograms add, gauges take *other*.
 
-    The worker-join primitive: parallel evaluation (or a fleet of gateways)
-    produces one snapshot each; merging them yields the totals a single
-    sequential run would have recorded.  Families present on either side
-    survive; mismatched kinds or bucket layouts are an error.
+    Merging the snapshots of registries that each counted part of a run
+    yields the totals one registry would have recorded.  Families present
+    on either side survive; mismatched kinds or bucket layouts are an
+    error.
     """
     merged = {"schema": SNAPSHOT_SCHEMA, "metrics": {}}
     names = sorted(set(base.get("metrics", {})) | set(other.get("metrics", {})))
@@ -418,6 +419,60 @@ def merge_many(snapshots: Sequence[dict]) -> dict:
     for snapshot in snapshots:
         merged = merge_snapshots(merged, snapshot)
     return merged
+
+
+def _matching_series(
+    snapshot: dict, name: str, labels: Optional[dict]
+) -> Iterator[dict]:
+    entry = snapshot.get("metrics", {}).get(name) or {}
+    for row in entry.get("series", []):
+        have = row.get("labels", {})
+        if not labels or all(have.get(k) == v for k, v in labels.items()):
+            yield row
+
+
+def counter_total(snapshot: dict, name: str, labels: Optional[dict] = None) -> float:
+    """Sum of a counter or gauge family's series in one snapshot, over the
+    series whose labels include *labels*; 0 when the family is missing."""
+    return sum(row.get("value", 0.0) for row in _matching_series(snapshot, name, labels))
+
+
+def histogram_quantile(
+    snapshot: dict, name: str, q: float, labels: Optional[dict] = None
+) -> Optional[float]:
+    """Prometheus-style quantile from cumulative bucket counts.
+
+    Linear interpolation within the bucket that crosses the target rank;
+    the open-ended overflow bucket reports the largest finite bound (there
+    is nothing sound to interpolate towards).  ``None`` when the family is
+    missing or its matching series have no observations.
+    """
+    entry = snapshot.get("metrics", {}).get(name)
+    if entry is None or entry.get("type") != "histogram":
+        return None
+    bounds = entry.get("buckets", [])
+    counts = [0] * (len(bounds) + 1)
+    for row in _matching_series(snapshot, name, labels):
+        for i, c in enumerate(row.get("bucket_counts", [])):
+            counts[i] += c
+    total = sum(counts)
+    if total == 0:
+        return None
+    q = min(1.0, max(0.0, q))
+    rank = q * total
+    cumulative = 0
+    for i, count in enumerate(counts):
+        if count == 0:
+            continue
+        if cumulative + count >= rank:
+            if i >= len(bounds):
+                return float(bounds[-1]) if bounds else None
+            lower = bounds[i - 1] if i > 0 else 0.0
+            upper = bounds[i]
+            within = (rank - cumulative) / count
+            return float(lower + (upper - lower) * within)
+        cumulative += count
+    return float(bounds[-1]) if bounds else None
 
 
 def _label_key(row: dict) -> Tuple[Tuple[str, str], ...]:

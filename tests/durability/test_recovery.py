@@ -17,7 +17,6 @@ from repro.faults.crash import (
     ALERTS_TOTAL,
     LATENESS_SECONDS,
     POLICY,
-    _counter_total,
     _fresh_fleet,
     build_chaos_deployment,
     canonical_alerts,
@@ -27,6 +26,7 @@ from repro.faults.crash import (
     run_fleet_trial,
     tear_final_record,
 )
+from repro.telemetry import counter_total
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +253,7 @@ class TestDurableRuntime:
         durable = _durable(deployment, tmp_path / "journal")
         durable.dispatch(stream[:cut])
         durable.save_checkpoint(tmp_path / "ckpt")
-        at_ckpt = _counter_total(durable.runtime_of(home).metrics, ALERTS_TOTAL)
+        at_ckpt = counter_total(durable.runtime_of(home).metrics.snapshot(), ALERTS_TOTAL)
         prefix = list(durable.alerts_of(home))
         durable.dispatch(stream[cut : cut + 5])
         durable.close()
@@ -266,14 +266,14 @@ class TestDurableRuntime:
             policy=POLICY,
         )
         metrics = recovered.runtime_of(home).metrics
-        assert _counter_total(metrics, ALERTS_TOTAL) >= at_ckpt
+        assert counter_total(metrics.snapshot(), ALERTS_TOTAL) >= at_ckpt
         recovered.dispatch(stream[cut + 5 :])
         recovered.finish(deployment.end)
         recovered.close()
         assert canonical_alerts(prefix + recovered.alerts_of(home)) == (
             canonical_alerts(expected[home])
         )
-        assert _counter_total(metrics, ALERTS_TOTAL) == float(len(expected[home]))
+        assert counter_total(metrics.snapshot(), ALERTS_TOTAL) == float(len(expected[home]))
 
     def test_fresh_runtime_over_dirty_journal_rotates(self, deployment, tmp_path):
         home = deployment.home_id
@@ -328,8 +328,8 @@ class TestDurableRuntime:
             gateway=_fresh_fleet([deployment], detectors, 1),
         )
         metrics = recovered.runtime_of(home).metrics
-        replayed = _counter_total(metrics, "dice_journal_replayed_total")
-        torn = _counter_total(metrics, "dice_journal_torn_records_total")
+        replayed = counter_total(metrics.snapshot(), "dice_journal_replayed_total")
+        torn = counter_total(metrics.snapshot(), "dice_journal_torn_records_total")
         assert replayed == 9.0
         assert torn == 1.0
         recovered.close()

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.durability.journal import _HEADER, frame_payload
+from repro.durability.journal import FRAME_HEADER, frame_payload
 from repro.durability.runtime import encode_event_frame
 from repro.model import Event
 from repro.service import protocol
@@ -59,7 +59,7 @@ class TestRoundtrip:
 
     def test_oversized_length_rejected_before_buffering(self):
         decoder = FrameDecoder(max_frame_bytes=64)
-        header = _HEADER.pack(1 << 20, 0)
+        header = FRAME_HEADER.pack(1 << 20, 0)
         with pytest.raises(ProtocolError, match="exceeds"):
             decoder.feed(header)
         assert decoder.dead
@@ -89,6 +89,14 @@ class TestRoundtrip:
             decoder.feed(frame_payload(b"not json"))
         with pytest.raises(ProtocolError, match="poisoned"):
             decoder.feed(encode_message(protocol.sync()))
+
+    def test_payload_nested_past_the_recursion_limit_poisons(self):
+        decoder = FrameDecoder()
+        depth = 30000  # far past the recursion limit, within the frame bound
+        payload = b"[" * depth + b"]" * depth
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            decoder.feed(frame_payload(payload))
+        assert decoder.dead
 
     def test_messages_before_poison_are_preserved(self):
         decoder = FrameDecoder()

@@ -6,6 +6,9 @@ alert and no spurious correlation violations, because its bits are masked
 out of the correlation check while quarantined.
 """
 
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,7 @@ from repro.streaming import (
     HardenedOnlineDice,
     OnlineDice,
     SupervisorPolicy,
+    restore_runtime,
 )
 
 
@@ -187,3 +191,50 @@ class TestQuarantineMasking:
         fresh = runtime.ingest_many(events)
         fresh += runtime.finish_stream(live.end)
         assert any(a.kind == "detection" for a in fresh)
+
+
+class TestHealthAlerts:
+    def test_health_counts_the_alerts_its_calls_returned(
+        self, trio_detector, trio_registry
+    ):
+        live = trio_trace(trio_registry, 7200.0, 16000.0, silent=(9000.0, 12000.0))
+        # Two NaN readings quarantine c for errors; b's silence then raises
+        # detections, identifications, device_silence and device_recovered.
+        garbage = [Event(7210.0, "c", float("nan")), Event(7211.0, "c", float("nan"))]
+        events = sorted(list(live) + garbage, key=lambda e: e.timestamp)
+        policy = SupervisorPolicy(
+            silence_seconds=600.0, quarantine_seconds=1200.0, error_threshold=2
+        )
+        runtime = HardenedOnlineDice(
+            trio_detector, start=7200.0, lateness_seconds=0.0, policy=policy
+        )
+        fresh = runtime.ingest_many(events)
+        fresh += runtime.finish_stream(live.end)
+        counts = Counter(alert.kind for alert in fresh)
+        assert set(counts) == {
+            "detection", "identification",
+            "device_errors", "device_silence", "device_recovered",
+        }
+        # Same counts, keyed in the order each kind was first raised.
+        assert list(runtime.health()["alerts"].items()) == list(counts.items())
+
+    def test_restore_counts_only_the_alerts_it_raises(
+        self, trio_detector, trio_registry
+    ):
+        live = trio_trace(trio_registry, 7200.0, 16000.0, silent=(9000.0, 12000.0))
+        events = list(live)
+        policy = SupervisorPolicy(silence_seconds=600.0, quarantine_seconds=1200.0)
+        first = HardenedOnlineDice(
+            trio_detector, start=7200.0, lateness_seconds=0.0, policy=policy
+        )
+        # Cut while b is silent: detections on both sides of the restore.
+        cut = next(i for i, e in enumerate(events) if e.timestamp >= 9600.0)
+        assert first.ingest_many(events[:cut])
+        snapshot = json.loads(json.dumps(first.checkpoint()))
+        resumed = restore_runtime(trio_detector, snapshot)
+        assert resumed.health()["alerts"] == {}
+        tail = resumed.ingest_many(events[cut:])
+        tail += resumed.finish_stream(live.end)
+        counts = Counter(alert.kind for alert in tail)
+        assert {"detection", "device_silence", "device_recovered"} <= set(counts)
+        assert list(resumed.health()["alerts"].items()) == list(counts.items())

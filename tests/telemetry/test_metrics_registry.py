@@ -1,4 +1,5 @@
-"""MetricsRegistry: families, series, snapshots, merging, concurrency."""
+"""MetricsRegistry: families, series, snapshots, merging, concurrency,
+and the snapshot readers."""
 
 import pickle
 import threading
@@ -9,6 +10,8 @@ from repro.telemetry import (
     NULL_REGISTRY,
     SNAPSHOT_SCHEMA,
     MetricsRegistry,
+    counter_total,
+    histogram_quantile,
     merge_snapshots,
 )
 
@@ -243,3 +246,58 @@ class TestMergeSnapshots:
         b = self._snap(lambda r: r.histogram("h", buckets=(2.0,)).observe(0.5))
         with pytest.raises(ValueError):
             merge_snapshots(a, b)
+
+
+def _counter(value, labels=None):
+    row = {"value": value}
+    if labels:
+        row["labels"] = labels
+    return row
+
+
+def _snapshot(**families):
+    """families: name -> list of series rows, or a (bounds, bucket_counts) tuple."""
+    metrics = {}
+    for name, spec in families.items():
+        if isinstance(spec, tuple):
+            bounds, bucket_counts = spec
+            metrics[name] = {
+                "type": "histogram",
+                "buckets": list(bounds),
+                "series": [{"bucket_counts": list(bucket_counts)}],
+            }
+        else:
+            metrics[name] = {"type": "counter", "series": spec}
+    return {"metrics": metrics}
+
+
+class TestSnapshotFunctions:
+    def test_counter_total_sums_matching_series(self):
+        snap = _snapshot(
+            dice_alerts_total=[
+                _counter(3.0, {"kind": "detection"}),
+                _counter(2.0, {"kind": "identification"}),
+            ]
+        )
+        assert counter_total(snap, "dice_alerts_total") == 5.0
+        assert counter_total(
+            snap, "dice_alerts_total", {"kind": "detection"}
+        ) == 3.0
+        assert counter_total(snap, "missing_family") == 0.0
+
+    def test_histogram_quantile_interpolates_within_bucket(self):
+        # 10 observations spread over buckets [0,1] and (1,2]: the median
+        # ranks 5th of 8 in the first bucket -> 1.0 * 5/8.
+        snap = _snapshot(lat=((1.0, 2.0), (8, 2, 0)))
+        assert histogram_quantile(snap, "lat", 0.5) == pytest.approx(0.625)
+        # p95 ranks 9.5, i.e. 1.5 of the 2 in (1,2].
+        assert histogram_quantile(snap, "lat", 0.95) == pytest.approx(1.75)
+
+    def test_histogram_quantile_overflow_reports_last_bound(self):
+        snap = _snapshot(lat=((1.0, 2.0), (0, 0, 4)))
+        assert histogram_quantile(snap, "lat", 0.5) == 2.0
+
+    def test_histogram_quantile_empty_or_missing_is_none(self):
+        assert histogram_quantile(_snapshot(), "lat", 0.5) is None
+        snap = _snapshot(lat=((1.0,), (0, 0)))
+        assert histogram_quantile(snap, "lat", 0.5) is None

@@ -535,28 +535,27 @@ class TestMetrics:
         assert main(["metrics", str(path), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == json.loads(path.read_text())
 
+    def test_table_appends_quantiles_to_histogram_rows(self, tmp_path, capsys):
+        path = self._snapshot(tmp_path)
+        capsys.readouterr()
+        assert main(["metrics", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        stage_rows = [row for row in rows if row.split()[0] == "dice_stage_seconds"]
+        counter_rows = [row for row in rows if row.split()[1] == "counter"]
+        assert stage_rows and counter_rows
+        for row in stage_rows:
+            for quantile in ("p50=", "p95=", "p99="):
+                assert quantile in row, row
+        for row in counter_rows:
+            assert "p50=" not in row and "p95=" not in row and "p99=" not in row
+
     def test_bad_snapshot_rejected(self, tmp_path, capsys):
         bad = tmp_path / "nope.json"
         bad.write_text("{not json")
         assert main(["metrics", str(bad)]) == 2
-        assert main(["metrics", str(tmp_path / "missing.json")]) == 2
-
-
-class TestTop:
-    def test_once_prints_one_dashboard_frame(self, tmp_path, capsys):
-        path = tmp_path / "metrics.json"
-        assert main(TestStream.ARGS + ["--metrics-out", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["top", "--metrics", str(path), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("DICE top — 1 sample(s)")
-        assert out.count("DICE top") == 1
-        for row in ("windows:", "alerts:", "drops:", "latency:", "SLO burn:"):
-            assert row in out
-
-    def test_missing_snapshot_exits_2(self, tmp_path, capsys):
+        _one_error_line(capsys.readouterr().err, "bad_snapshot", str(bad))
         missing = tmp_path / "missing.json"
-        assert main(["top", "--metrics", str(missing), "--once"]) == 2
+        assert main(["metrics", str(missing)]) == 2
         _one_error_line(capsys.readouterr().err, "bad_snapshot", str(missing))
 
 
