@@ -22,3 +22,27 @@ Subpackages
 """
 
 __version__ = "1.0.0"
+
+
+def _lazy_exports(namespace: dict, exports: dict):
+    """``__all__``, ``__getattr__`` and ``__dir__`` for a package whose
+    names, listed per submodule in *exports*, are imported from that
+    submodule on first access (PEP 562), so importing one submodule does
+    not import its siblings."""
+    import importlib
+
+    package = namespace["__name__"]
+    module_of = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        module = module_of.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{module}"), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(module_of))
+
+    return list(module_of), __getattr__, __dir__

@@ -63,6 +63,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import telemetry
+from .durability.journal import FSYNC_POLICIES
 
 _log = telemetry.get_logger("repro.cli")
 
@@ -72,11 +73,6 @@ def _worker_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("worker count must be at least 1")
     return value
-
-
-#: ``repro.durability.FSYNC_POLICIES``, spelled out so that building the
-#: parser does not import the durable stack (a test pins the two equal).
-FSYNC_POLICIES = ("never", "always")
 
 
 def _build_parser() -> argparse.ArgumentParser:

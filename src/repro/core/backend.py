@@ -66,6 +66,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from .. import telemetry
 from ..model import DeviceRegistry, Trace
 from .checks import CorrelationResult, TransitionCase
@@ -79,7 +81,7 @@ from .detector import (
 )
 from .encoding import StateSetEncoder, WindowedTrace
 from .identification import IdentificationSession, ProbableFaultSet
-from .transitions import TransitionMatrix
+from .transitions import TransitionMatrix, _pairs_in_order
 from .weights import DeviceWeights
 
 #: Check labels for the non-DICE backends (DICE keeps the paper's
@@ -317,10 +319,14 @@ class DetectorBackend:
         return alerts, spent
 
     def observe_window(self, snapshot, qbits: int = 0) -> WindowOutcome:
-        """Check one streamed window and run it through the loop."""
+        """Check one streamed window and run it through the loop.  The
+        identification clock observes only a window that opened or fed an
+        identification session."""
         verdict = self.check(snapshot, qbits)
+        identifying = verdict.violation or self._session is not None
         alerts, seconds = self._session_loop((snapshot,), (verdict,))
-        self.stage_clock["identification"].observe(seconds)
+        if identifying:
+            self.stage_clock["identification"].observe(seconds)
         self._post_window(snapshot, verdict, qbits)
         return WindowOutcome(
             tuple(alerts), verdict.violation, verdict.drift_signal
@@ -749,19 +755,49 @@ class MarkovBackend(DetectorBackend):
             sorted(d.device_id for d in self.registry if d.is_actuator)
         )
         self._device_order = self._sensor_ids + self._actuator_ids
-        chains = {device: TransitionMatrix() for device in self._device_order}
-        prev: Optional[Dict[str, int]] = None
-        windowed = encoder.encode(trace)
-        for mask, acts in windowed:
-            states = self._window_states(mask, acts)
-            if prev is not None:
-                for device, cur in states.items():
-                    chains[device].observe(prev[device], cur)
-            prev = states
+        words = encoder.encode_words(trace)
+        activations = encoder._actuator_activations(trace, len(words))
+        chains = {}
+        for device, states in zip(
+            self._device_order, self._training_states(words, activations)
+        ):
+            # Each distinct (previous, current) pair counted once and
+            # inserted in order of first appearance, as one observe() per
+            # window would.
+            chain = chains[device] = TransitionMatrix()
+            for prev, cur, count in _pairs_in_order(
+                states[:-1], states[1:], int(states.max(initial=0)) + 1
+            ):
+                chain.observe(prev, cur, count)
         self._chains = chains
-        self._training_windows = len(windowed)
+        self._training_windows = len(words)
         self._prev_states = {}
         return self
+
+    def _training_states(
+        self, words: np.ndarray, activations: Sequence[FrozenSet[str]]
+    ) -> List[np.ndarray]:
+        """Per device in ``_device_order``, its state in every window: a
+        sensor's bits packed in layout order (as :meth:`_window_states`
+        packs them), an actuator's activation."""
+        layout = self.encoder.layout
+        states = []
+        for device in self._sensor_ids:
+            state = np.zeros(len(words), dtype=np.int64)
+            for k, bit in enumerate(layout.bits_of_device(device)):
+                column = words[:, bit >> 6] >> np.uint64(bit & 63) & np.uint64(1)
+                state |= column.astype(np.int64) << k
+            states.append(state)
+        # The windows' activation sets are interned: test membership once
+        # per distinct set.
+        kinds = {acts: k for k, acts in enumerate(dict.fromkeys(activations))}
+        kind_of = np.fromiter(
+            map(kinds.__getitem__, activations), dtype=np.int64, count=len(words)
+        )
+        for device in self._actuator_ids:
+            member = np.array([device in acts for acts in kinds], dtype=np.int64)
+            states.append(member[kind_of])
+        return states
 
     def _window_states(self, mask: int, acts: FrozenSet[str]) -> Dict[str, int]:
         """Each tracked device's window state (sensor bits / activation)."""

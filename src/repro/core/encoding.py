@@ -13,15 +13,16 @@ deployment's sensors:
 Actuators do not appear in the state set; their activations are tracked per
 window separately to feed the G2A/A2G transition matrices.
 
-The encoder is fully vectorised: one stable lexsort by (device, window)
-followed by segmented reductions produces every bit for a multi-million
-event trace in one pass.
+The encoder is fully vectorised: a device-to-bit table lookup sets every
+binary bit in one pass, and one stable sort by device followed by
+segmented reductions produces every numeric bit, for a multi-million
+event trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -173,10 +174,10 @@ class StateSetEncoder:
         if trace.registry is not self.registry:
             raise ValueError("trace registry differs from encoder registry")
         n = len(self.registry)
-        sums = np.zeros(n, dtype=np.float64)
-        counts = np.zeros(n, dtype=np.int64)
-        np.add.at(sums, trace.device_indices, trace.values)
-        np.add.at(counts, trace.device_indices, 1)
+        # bincount adds each event's value in trace order, as a per-event
+        # loop would, so the sums are the same doubles.
+        sums = np.bincount(trace.device_indices, trace.values, minlength=n)
+        counts = np.bincount(trace.device_indices, minlength=n)
         thresholds = np.zeros(n, dtype=np.float64)
         nonzero = counts > 0
         thresholds[nonzero] = sums[nonzero] / counts[nonzero]
@@ -202,12 +203,22 @@ class StateSetEncoder:
 
     def encode(self, trace: Trace) -> WindowedTrace:
         """Encode every window of *trace* (windows are ``[t, t+d)``)."""
+        words = self.encode_words(trace)
+        masks = _words_to_masks(words)
+        activations = self._actuator_activations(trace, len(words))
+        return WindowedTrace(
+            self.layout, self.window_seconds, trace.start, masks, activations
+        )
+
+    def encode_words(self, trace: Trace) -> np.ndarray:
+        """Every window's state set as a row of ``uint64`` words (bit *b*
+        in word ``b // 64``): :meth:`encode`'s masks before they become
+        Python ints."""
         self._require_fitted()
         if trace.registry is not self.registry:
             raise ValueError("trace registry differs from encoder registry")
         n_windows = self.num_windows(trace)
-        layout = self.layout
-        words = np.zeros((n_windows, layout.num_words), dtype=np.uint64)
+        words = np.zeros((n_windows, self.layout.num_words), dtype=np.uint64)
         if n_windows and len(trace):
             window_of = np.floor(
                 (trace.timestamps - trace.start) / self.window_seconds
@@ -215,24 +226,23 @@ class StateSetEncoder:
             np.clip(window_of, 0, n_windows - 1, out=window_of)
             self._encode_binary(trace, window_of, words)
             self._encode_numeric(trace, window_of, words)
-        masks = _words_to_masks(words)
-        activations = self._actuator_activations(trace, n_windows)
-        return WindowedTrace(
-            layout, self.window_seconds, trace.start, masks, activations
-        )
+        return words
 
     # -- binary sensors -------------------------------------------------- #
 
     def _encode_binary(
         self, trace: Trace, window_of: np.ndarray, words: np.ndarray
     ) -> None:
-        for device in self.registry.binary_sensors():
-            dev_idx = self.registry.index_of(device.device_id)
-            mask = (trace.device_indices == dev_idx) & (trace.values > 0)
-            if not mask.any():
-                continue
-            bit = self.layout.bits_of_device(device.device_id)[0]
-            _set_bit(words, window_of[mask], bit)
+        bit_of = _lookup_table(
+            len(self.registry),
+            (
+                (self.registry.index_of(d.device_id), self.layout.bits_of_device(d.device_id)[0])
+                for d in self.registry.binary_sensors()
+            ),
+        )
+        bits = bit_of[trace.device_indices]
+        on = (bits >= 0) & (trace.values > 0)
+        _set_bits(words, window_of[on], bits[on])
 
     # -- numeric sensors -------------------------------------------------- #
 
@@ -242,22 +252,29 @@ class StateSetEncoder:
         numeric = self.registry.numeric_sensors()
         if not numeric:
             return
-        numeric_indices = np.array(
-            [self.registry.index_of(d.device_id) for d in numeric], dtype=np.int64
+        # Each numeric sensor's first bit (skew); trend and mean follow it.
+        first_bit = _lookup_table(
+            len(self.registry),
+            (
+                (self.registry.index_of(d.device_id), self.layout.bits_of_device(d.device_id)[0])
+                for d in numeric
+            ),
         )
-        is_numeric = np.zeros(len(self.registry), dtype=bool)
-        is_numeric[numeric_indices] = True
-        sel = is_numeric[trace.device_indices]
+        sel = first_bit[trace.device_indices] >= 0
         if not sel.any():
             return
-        dev = trace.device_indices[sel].astype(np.int64)
+        dev = trace.device_indices[sel]
         win = window_of[sel]
         val = trace.values[sel]
 
-        # Stable sort by (device, window); within a segment events keep the
-        # trace's time order, so first/last per segment are genuine
-        # window-start and window-end readings (Eq. 3.3).
-        order = np.lexsort((win, dev))
+        # Stable sort by device: the trace is time-sorted, so windows never
+        # decrease within a device and each (device, window) segment keeps
+        # the trace's time order; first/last per segment are genuine
+        # window-start and window-end readings (Eq. 3.3).  Device indices
+        # fit a small unsigned type, whose stable sort is a radix sort.
+        order = np.argsort(
+            dev.astype(np.min_scalar_type(len(self.registry))), kind="stable"
+        )
         dev, win, val = dev[order], win[order], val[order]
         boundary = np.empty(len(dev), dtype=bool)
         boundary[0] = True
@@ -269,8 +286,9 @@ class StateSetEncoder:
 
         count = (seg_end - seg_start + 1).astype(np.float64)
         s1 = np.add.reduceat(val, seg_start)
-        s2 = np.add.reduceat(val * val, seg_start)
-        s3 = np.add.reduceat(val * val * val, seg_start)
+        squares = val * val
+        s2 = np.add.reduceat(squares, seg_start)
+        s3 = np.add.reduceat(squares * val, seg_start)
         first = val[seg_start]
         last = val[seg_end]
         mean = s1 / count
@@ -290,16 +308,16 @@ class StateSetEncoder:
         thresholds = self._value_thresholds[seg_dev]
         mean_bit = mean > thresholds
 
-        for device in numeric:
-            dev_idx = self.registry.index_of(device.device_id)
-            here = seg_dev == dev_idx
-            if not here.any():
-                continue
-            wins = seg_win[here]
-            skew_b, trend_b, mean_b = self.layout.bits_of_device(device.device_id)
-            _set_bit(words, wins[skew_bit[here]], skew_b)
-            _set_bit(words, wins[trend_bit[here]], trend_b)
-            _set_bit(words, wins[mean_bit[here]], mean_b)
+        base = first_bit[seg_dev].astype(np.int64)  # base + 2 may not fit
+        _set_bits(
+            words,
+            np.concatenate(
+                (seg_win[skew_bit], seg_win[trend_bit], seg_win[mean_bit])
+            ),
+            np.concatenate(
+                (base[skew_bit], base[trend_bit] + 1, base[mean_bit] + 2)
+            ),
+        )
 
     # -- actuators -------------------------------------------------------- #
 
@@ -314,18 +332,22 @@ class StateSetEncoder:
         """
         actuators = [device.device_id for device in self.registry.actuators()]
         codes = [0] * n_windows
-        if n_windows:
-            for bit, device_id in enumerate(actuators):
-                dev_idx = self.registry.index_of(device_id)
-                mask = (trace.device_indices == dev_idx) & (trace.values > 0)
-                if not mask.any():
-                    continue
-                wins = np.floor(
-                    (trace.timestamps[mask] - trace.start) / self.window_seconds
-                ).astype(np.int64)
-                np.clip(wins, 0, n_windows - 1, out=wins)
-                for w in np.unique(wins).tolist():
-                    codes[w] |= 1 << bit
+        if n_windows and actuators:
+            bit_of = _lookup_table(
+                len(self.registry),
+                ((self.registry.index_of(a), bit) for bit, a in enumerate(actuators)),
+            )
+            bits = bit_of[trace.device_indices]
+            on = (bits >= 0) & (trace.values > 0)
+            wins = np.floor(
+                (trace.timestamps[on] - trace.start) / self.window_seconds
+            ).astype(np.int64)
+            np.clip(wins, 0, n_windows - 1, out=wins)
+            # One Python step per distinct (window, actuator) pair.
+            pairs = np.unique(wins * len(actuators) + bits[on])
+            pair_windows, pair_bits = np.divmod(pairs, len(actuators))
+            for w, bit in zip(pair_windows.tolist(), pair_bits.tolist()):
+                codes[w] |= 1 << bit
         # frozenset(set(...)) rather than frozenset(...): above four members
         # the two lay out their tables differently, and the transition
         # matrices insert actuators in the set's iteration order.
@@ -335,15 +357,33 @@ class StateSetEncoder:
             )
             for code in set(codes)
         }
-        return [interned[code] for code in codes]
+        return list(map(interned.__getitem__, codes))
 
 
-def _set_bit(words: np.ndarray, window_indices: np.ndarray, bit: int) -> None:
-    """OR the given bit into the listed window rows."""
-    if len(window_indices) == 0:
-        return
-    word, pos = divmod(bit, 64)
-    np.bitwise_or.at(words[:, word], window_indices, np.uint64(1 << pos))
+def _lookup_table(size: int, entries: Iterable[Tuple[int, int]]) -> np.ndarray:
+    """A table over device indices holding each ``(index, value)`` entry
+    and -1 elsewhere, in the smallest signed type that fits: a lookup
+    through it costs one or two bytes per event."""
+    entries = list(entries)
+    top = max((value for _index, value in entries), default=0)
+    table = np.full(size, -1, dtype=np.min_scalar_type(-top - 1))
+    for index, value in entries:
+        table[index] = value
+    return table
+
+
+def _set_bits(words: np.ndarray, windows: np.ndarray, bits: np.ndarray) -> None:
+    """OR bit ``bits[k]`` into window row ``windows[k]``, for every *k*,
+    in one pass over the (C-contiguous) rows viewed as one flat array.
+    *windows* is a fresh array the caller hands over: it becomes the flat
+    index in place."""
+    windows *= words.shape[1]
+    windows += bits >> 6
+    np.bitwise_or.at(
+        words.reshape(-1),
+        windows,
+        np.left_shift(np.uint64(1), (bits & 63).astype(np.uint8)),
+    )
 
 
 def _words_to_masks(words: np.ndarray) -> List[int]:

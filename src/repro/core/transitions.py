@@ -113,31 +113,45 @@ class TransitionModel:
             raise ValueError("group sequence and activations must align")
         model = cls()
         ids = np.asarray(group_sequence, dtype=np.int64)
-        if len(ids) > 1:
-            # Count each (previous, current) pair once, then insert pairs in
-            # order of first appearance: rows and columns land in the same
-            # dict order as one observe() per window, so successors() and
-            # everything that iterates it are unchanged.
-            span = int(ids.max()) + 1
-            pairs, first, counts = np.unique(
-                ids[:-1] * span + ids[1:], return_index=True, return_counts=True
-            )
-            order = np.argsort(first)
-            rows, cols = np.divmod(pairs[order], span)
-            for row, col, count in zip(
-                rows.tolist(), cols.tolist(), counts[order].tolist()
-            ):
-                model.g2g.observe(row, col, count)
-        sequence = ids.tolist()
-        last = len(sequence) - 1
-        for i, acts in enumerate(actuator_activations):
-            if not acts:
-                continue
-            for act in acts:
-                if i > 0:
-                    model.g2a.observe(sequence[i - 1], act)
-                if i < last:
-                    model.a2g.observe(act, sequence[i + 1])
+        if len(ids) < 2:
+            return model
+        # Each matrix counts each distinct (previous, current) pair once and
+        # inserts the pairs in order of first appearance: rows and columns
+        # land in the same dict order as one observe() per window and
+        # actuator, so successors() and everything that iterates it are
+        # unchanged.
+        span = int(ids.max()) + 1
+        for row, col, count in _pairs_in_order(ids[:-1], ids[1:], span):
+            model.g2g.observe(row, col, count)
+        # One (window, actuator) observation per activation, in window
+        # order and, within a window, in its set's iteration order.
+        sizes = np.fromiter(
+            map(len, actuator_activations), dtype=np.int64, count=len(ids)
+        )
+        windows = np.repeat(np.arange(len(ids)), sizes)
+        if not len(windows):
+            return model
+        names: Dict[str, int] = {}
+        codes = np.fromiter(
+            (
+                names.setdefault(act, len(names))
+                for i in np.flatnonzero(sizes).tolist()
+                for act in actuator_activations[i]
+            ),
+            dtype=np.int64,
+            count=len(windows),
+        )
+        acts = list(names)
+        later = windows > 0
+        for row, col, count in _pairs_in_order(
+            ids[windows[later] - 1], codes[later], len(acts)
+        ):
+            model.g2a.observe(row, acts[col], count)
+        earlier = windows < len(ids) - 1
+        for row, col, count in _pairs_in_order(
+            codes[earlier], ids[windows[earlier] + 1], span
+        ):
+            model.a2g.observe(acts[row], col, count)
         return model
 
     def copy(self) -> "TransitionModel":
@@ -172,3 +186,16 @@ class TransitionModel:
             for row in src.rows:
                 for col, count in src._counts[row].items():
                     dst.observe(row, col, count)
+
+
+def _pairs_in_order(rows: np.ndarray, cols: np.ndarray, span: int):
+    """The distinct ``(row, col)`` pairs of two aligned code arrays, with
+    their counts, in order of first appearance (*cols* are below *span*)."""
+    keys = rows * span + cols
+    # The smallest unsigned type that holds the keys: np.unique's stable
+    # sort of 8- and 16-bit integers is a radix sort.
+    keys = keys.astype(np.min_scalar_type(int(keys.max()) if len(keys) else 0))
+    keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    pair_rows, pair_cols = np.divmod(keys[order].astype(np.int64), span)
+    return zip(pair_rows.tolist(), pair_cols.tolist(), counts[order].tolist())

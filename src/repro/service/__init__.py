@@ -14,43 +14,32 @@ process using nothing beyond the standard library:
   signal handling the stream/fleet CLIs reuse.
 """
 
-from .client import SendReport, ServiceClient, ServiceError
-from .protocol import (
-    DEFAULT_MAX_FRAME_BYTES,
-    FrameDecoder,
-    ProtocolError,
-    encode_message,
-)
-from .server import (
-    CONNECTIONS_TOTAL,
-    DISCONNECTS_TOTAL,
-    DUPLICATE_FRAMES_TOTAL,
-    FRAMES_TOTAL,
-    QUEUE_DEPTH_GAUGE,
-    SHED_TOTAL,
-    IngestServer,
-    ServiceConfig,
-    ServiceThread,
-)
-from .signals import GracefulShutdown, drain_iter
+from .. import _lazy_exports
 
-__all__ = [
-    "DEFAULT_MAX_FRAME_BYTES",
-    "FrameDecoder",
-    "ProtocolError",
-    "encode_message",
-    "QUEUE_DEPTH_GAUGE",
-    "CONNECTIONS_TOTAL",
-    "DISCONNECTS_TOTAL",
-    "FRAMES_TOTAL",
-    "SHED_TOTAL",
-    "DUPLICATE_FRAMES_TOTAL",
-    "IngestServer",
-    "ServiceConfig",
-    "ServiceThread",
-    "ServiceClient",
-    "ServiceError",
-    "SendReport",
-    "GracefulShutdown",
-    "drain_iter",
-]
+#: Each exported name, by the submodule that defines it.  The package
+#: imports them on first access, so ``repro.service.client`` (``repro
+#: send``) loads neither the server nor the gateway stack behind it.
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "protocol": (
+            "DEFAULT_MAX_FRAME_BYTES",
+            "FrameDecoder",
+            "ProtocolError",
+            "encode_message",
+        ),
+        "server": (
+            "QUEUE_DEPTH_GAUGE",
+            "CONNECTIONS_TOTAL",
+            "DISCONNECTS_TOTAL",
+            "FRAMES_TOTAL",
+            "SHED_TOTAL",
+            "DUPLICATE_FRAMES_TOTAL",
+            "IngestServer",
+            "ServiceConfig",
+            "ServiceThread",
+        ),
+        "client": ("ServiceClient", "ServiceError", "SendReport"),
+        "signals": ("GracefulShutdown", "drain_iter"),
+    },
+)

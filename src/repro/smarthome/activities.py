@@ -99,12 +99,6 @@ class ActivityInstance:
     def room(self) -> str:
         return self.spec.room
 
-    def clipped(self, end: float) -> "ActivityInstance":
-        """A copy ending no later than *end*."""
-        return ActivityInstance(
-            self.spec, self.start, min(self.end, end), self.resident
-        )
-
 
 class ActivityCatalog:
     """Named collection of the activities one deployment supports."""

@@ -91,16 +91,27 @@ class NumericSignalBuilder:
         self._effects: List[Tuple[float, float, float]] = []
 
     def add(self, start: float, end: float, delta: float) -> None:
-        if end < start:
+        self.add_many([start], [end], [delta])
+
+    def add_many(self, starts, ends, deltas) -> None:
+        """:meth:`add` for every ``(starts[k], ends[k], deltas[k])``, in
+        order, in array passes."""
+        starts = np.asarray(starts, dtype=np.float64)
+        ends = np.asarray(ends, dtype=np.float64)
+        deltas = np.asarray(deltas, dtype=np.float64)
+        if (ends < starts).any():
             raise ValueError("effect must not end before it starts")
         snap = self.profile.snap_seconds
         if snap > 0:
-            start = round(start / snap) * snap
-            end = round(end / snap) * snap
-            if end == start:
-                end = start + snap
-        if end > start and delta != 0.0:
-            self._effects.append((start, end, delta))
+            # np.round rounds half to even, as round() does; adding 0.0
+            # turns a rounded -0.0 into the 0 that round() returns.
+            starts = np.round(starts / snap) * snap + 0.0
+            ends = np.round(ends / snap) * snap + 0.0
+            ends = np.where(ends == starts, starts + snap, ends)
+        keep = (ends > starts) & (deltas != 0.0)
+        self._effects.extend(
+            zip(starts[keep].tolist(), ends[keep].tolist(), deltas[keep].tolist())
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -153,6 +164,8 @@ class NumericSignalBuilder:
         final stable sort breaks ties.
         """
         profile = self.profile
+        if not self._effects:
+            return np.empty(0), np.empty(0)
         times, levels = self._breakpoints(horizon)
         if len(times) < 2:
             return np.empty(0), np.empty(0)
@@ -196,10 +209,15 @@ class NumericSignalBuilder:
         t = np.concatenate((ramp_t, hold_t, held_t))[emitted]
         v = np.concatenate((ramp_v, new[hold_of], new[held_of]))[emitted]
         keep = t < horizon
-        t, v = t[keep], v[keep]
+        if not keep.all():
+            t, v = t[keep], v[keep]
         if profile.noise_sigma > 0 and len(v):
             v = v + rng.normal(0.0, profile.noise_sigma, size=len(v))
         v = np.round(v / profile.quantum) * profile.quantum
+        # Transitions emit in time order, so the samples are almost always
+        # sorted already, and a stable sort would leave them as they are.
+        if np.all(t[1:] >= t[:-1]):
+            return t, v
         order = np.argsort(t, kind="stable")
         return t[order], v[order]
 

@@ -14,11 +14,12 @@ place or time limit", i.e. the sequence is fixed, the timing is human.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from operator import itemgetter
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .activities import ActivityCatalog, ActivityInstance
+from .activities import ActivityCatalog, ActivityInstance, ActivitySpec
 
 DAY_SECONDS = 24 * 3600.0
 
@@ -61,39 +62,40 @@ class DailyRoutine:
             seen.setdefault(entry.activity, None)
         return list(seen)
 
-    def instantiate_day(
-        self,
-        day_index: int,
-        catalog: ActivityCatalog,
-        rng: np.random.Generator,
-        resident: int = 0,
-    ) -> List[ActivityInstance]:
-        """Activity instances for one day (unclipped; may overrun midnight)."""
-        day_start = day_index * DAY_SECONDS
-        instances: List[ActivityInstance] = []
-        for entry in self.entries:
-            if entry.skip_probability and rng.random() < entry.skip_probability:
-                continue
-            spec = catalog[entry.activity]
-            # Truncated-normal jitter: humans are late or early, but the
-            # *ordering* of a routine is stable.  Unbounded tails would make
-            # arbitrary activity pairs adjacent once in a blue moon, which
-            # no amount of training data could cover.
-            offset = float(
-                np.clip(
-                    rng.normal(0.0, entry.jitter_minutes),
-                    -2.0 * entry.jitter_minutes,
-                    2.0 * entry.jitter_minutes,
-                )
+    def draw_days(
+        self, days: int, catalog: ActivityCatalog, rng: np.random.Generator
+    ) -> List[Tuple[float, float, ActivitySpec]]:
+        """``(start, end, spec)`` draws in seconds for days ``0 .. days-1``
+        (unclipped; may overrun midnight).  Each entry of each day draws,
+        in order: its skip coin (if it is optional), its start jitter, its
+        duration."""
+        plan = [
+            (
+                entry.skip_probability,
+                entry.jitter_minutes,
+                entry.start_minute,
+                catalog[entry.activity],
             )
-            start_min = entry.start_minute + offset
-            start = day_start + max(0.0, start_min) * 60.0
-            lo, hi = spec.duration_minutes
-            duration = rng.uniform(lo, hi) * 60.0
-            instances.append(
-                ActivityInstance(spec, start, start + duration, resident)
-            )
-        return instances
+            for entry in self.entries
+        ]
+        draws: List[Tuple[float, float, ActivitySpec]] = []
+        for day in range(days):
+            day_start = day * DAY_SECONDS
+            for skip, jitter, start_minute, spec in plan:
+                if skip and rng.random() < skip:
+                    continue
+                # Truncated-normal jitter: humans are late or early, but the
+                # *ordering* of a routine is stable.  Unbounded tails would
+                # make arbitrary activity pairs adjacent once in a blue
+                # moon, which no amount of training data could cover.
+                offset = min(max(rng.normal(0.0, jitter), -2.0 * jitter), 2.0 * jitter)
+                start = day_start + max(0.0, start_minute + offset) * 60.0
+                # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(),
+                # spelled out: the scalar call costs four times the draw.
+                lo, hi = spec.duration_minutes
+                duration = (lo + (hi - lo) * rng.random()) * 60.0
+                draws.append((start, start + duration, spec))
+        return draws
 
 
 def build_schedule(
@@ -107,35 +109,30 @@ def build_schedule(
 
     A resident does one thing at a time: overlapping instances are resolved
     by clipping each activity at the start of the next one, and everything
-    is clipped to the horizon.
+    is clipped to the horizon.  Presence persists until the next kept
+    activity begins.
     """
-    days = int(np.ceil(horizon / DAY_SECONDS))
-    raw: List[ActivityInstance] = []
-    for day in range(days):
-        raw.extend(routine.instantiate_day(day, catalog, rng, resident))
-    raw.sort(key=lambda inst: inst.start)
-    schedule: List[ActivityInstance] = []
-    for i, inst in enumerate(raw):
-        end = inst.end
+    raw = routine.draw_days(int(np.ceil(horizon / DAY_SECONDS)), catalog, rng)
+    raw.sort(key=itemgetter(0))
+    kept: List[Tuple[float, float, ActivitySpec]] = []
+    for i, (start, end, spec) in enumerate(raw):
         if i + 1 < len(raw):
-            end = min(end, raw[i + 1].start)
+            end = min(end, raw[i + 1][0])
         # Minute-granular timeline (CASAS-style annotation granularity):
         # activity boundaries land on the window grid, so a hand-over always
         # produces the same window-level footprint instead of a phase-split
         # variant that training data can never fully cover.
-        start = round(inst.start / 60.0) * 60.0
-        end = round(end / 60.0) * 60.0
-        end = min(end, horizon)
-        if end <= start:
-            continue
-        if start < horizon:
-            schedule.append(ActivityInstance(inst.spec, start, end, resident))
-    # Presence persists until the next activity begins (same resident).
-    for i in range(len(schedule) - 1):
-        object.__setattr__(
-            schedule[i], "presence_end", schedule[i + 1].start
-        )
-    return schedule
+        start = round(start / 60.0) * 60.0
+        end = min(round(end / 60.0) * 60.0, horizon)
+        if start < end and start < horizon:
+            kept.append((start, end, spec))
+    # Rounding is monotone, so each kept end is at most the next kept
+    # start: presence never ends before the activity does.
+    presence_ends = [start for start, _end, _spec in kept[1:]] + [0.0]
+    return [
+        ActivityInstance(spec, start, end, resident, presence_end)
+        for (start, end, spec), presence_end in zip(kept, presence_ends)
+    ]
 
 
 def occupancy_intervals(

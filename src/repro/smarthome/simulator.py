@@ -243,19 +243,20 @@ class HomeSimulator:
         numeric_effects: Dict[str, List[EffectInterval]],
         binary_times: Dict[str, List[np.ndarray]],
     ) -> None:
+        miss = self.spec.response_miss_probability
         for inst in schedule:
+            start, end = inst.start, min(inst.end, horizon)
             for trigger in inst.spec.binary_triggers:
-                times = binary_events(trigger, inst.start, min(inst.end, horizon), rng)
-                times = times[(times >= 0) & (times < horizon)]
+                times = binary_events(trigger, start, end, rng)
+                # Event times are sorted: checking the first and the last
+                # tells whether any falls outside [0, horizon).
+                if len(times) and (times[0] < 0 or times[-1] >= horizon):
+                    times = times[(times >= 0) & (times < horizon)]
                 if len(times):
                     binary_times.setdefault(trigger.device_id, []).append(times)
             for effect in inst.spec.numeric_effects:
-                if (
-                    self.spec.response_miss_probability > 0.0
-                    and rng.random() < self.spec.response_miss_probability
-                ):
+                if miss > 0.0 and rng.random() < miss:
                     continue
-                start, end = inst.start, min(inst.end, horizon)
                 if end > start:
                     numeric_effects.setdefault(effect.device_id, []).append(
                         EffectInterval(effect.device_id, start, end, effect.delta)
@@ -318,11 +319,13 @@ class HomeSimulator:
         runs: List[Tuple[int, int, object, Optional[np.ndarray]]] = []
         for device in registry.numeric_sensors():
             builder = NumericSignalBuilder(self.spec.profile_of(device.device_id))
-            for effect in numeric_effects.get(device.device_id, []):
-                start = max(0.0, effect.start)
-                end = min(horizon, effect.end)
-                if end > start:
-                    builder.add(start, end, effect.delta)
+            effects = numeric_effects.get(device.device_id, [])
+            if effects:
+                starts = np.maximum(0.0, [effect.start for effect in effects])
+                ends = np.minimum(horizon, [effect.end for effect in effects])
+                live = ends > starts
+                deltas = np.array([effect.delta for effect in effects])
+                builder.add_many(starts[live], ends[live], deltas[live])
             t, v = builder.render(horizon, rng)
             runs.append((registry.index_of(device.device_id), len(t), t, v))
         for device_id, chunks in binary_times.items():

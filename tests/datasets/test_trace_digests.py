@@ -8,6 +8,9 @@ order or its dtype changes a digest.
 
 The table was produced by ``digest(load_dataset(name, seed, hours=48))``
 and must only be regenerated by a change that is meant to alter traces.
+The second table pins seed 0 at the lengths the Ch. V protocol generates
+(``ProtocolSettings(hours_scale=1.0).scaled_hours(name)``): multi-week
+daylight, and hh102's 62 days of schedules.
 """
 
 import hashlib
@@ -15,6 +18,7 @@ import hashlib
 import pytest
 
 from repro.datasets import ALL_NAMES, load_dataset
+from repro.eval.experiments import ProtocolSettings
 
 HOURS = 48.0
 
@@ -43,6 +47,36 @@ DIGESTS = {
     (3, "D_hh102"): (14092, "c7a620fd3f230ab66323a30b6a35aeaf"),
 }
 
+#: ``dataset -> (events, digest)`` at seed 0 and the protocol's full length.
+FULL_SCALE_DIGESTS = {
+    "houseA": (10414, "633aea4ae75289ce5163d5c24314f7ab"),
+    "houseB": (107501, "11ae14d2e6376fbc53fa97877d7fb7d3"),
+    "houseC": (121302, "27d1fcbc4f4199303a3961f5372a6616"),
+    "twor": (1091146, "63132afd708cc84194aba9baa1b2d09b"),
+    "hh102": (596226, "d097629c0b45f1250d512555dbac8e4f"),
+    "D_houseA": (131159, "487d87c3f6932bc7b0abb2e8ccb954f7"),
+    "D_houseB": (156141, "b78eb0b2cd78a4b70ff2d14747a12bc7"),
+    "D_houseC": (167376, "0f1d5f58745d74d125f78d5fe7cf9b07"),
+    "D_twor": (537255, "07a1d7898c7f5ac6e414adfbfe02c8f6"),
+    "D_hh102": (482421, "c988e738a3c0a34830f964cc99e2409e"),
+}
+
+#: ``(seed, dataset, hours, pinned)``: the 48-hour table keeps its
+#: ``seed-dataset`` ids; the full-length rows add ``-full``.
+CASES = [
+    pytest.param(seed, name, HOURS, DIGESTS[(seed, name)], id=f"{seed}-{name}")
+    for seed, name in sorted(DIGESTS)
+] + [
+    pytest.param(
+        0,
+        name,
+        ProtocolSettings(hours_scale=1.0).scaled_hours(name),
+        FULL_SCALE_DIGESTS[name],
+        id=f"0-{name}-full",
+    )
+    for name in sorted(FULL_SCALE_DIGESTS)
+]
+
 
 def digest(trace) -> str:
     h = hashlib.blake2b(digest_size=16)
@@ -54,11 +88,10 @@ def digest(trace) -> str:
 
 def test_table_covers_every_dataset():
     assert {name for _seed, name in DIGESTS} == set(ALL_NAMES)
+    assert set(FULL_SCALE_DIGESTS) == set(ALL_NAMES)
 
 
-@pytest.mark.parametrize(
-    "seed, name", sorted(DIGESTS), ids=lambda v: str(v)
-)
-def test_generated_trace_matches_pinned_digest(seed, name):
-    trace = load_dataset(name, seed=seed, hours=HOURS).trace
-    assert (len(trace), digest(trace)) == DIGESTS[(seed, name)]
+@pytest.mark.parametrize("seed, name, hours, pinned", CASES)
+def test_generated_trace_matches_pinned_digest(seed, name, hours, pinned):
+    trace = load_dataset(name, seed=seed, hours=hours).trace
+    assert (len(trace), digest(trace)) == pinned

@@ -92,16 +92,52 @@ class TestStreamingMetrics:
         assert by_stage["transition"] == 60
 
     def test_each_window_is_timed_once(self, replayed):
-        # One clock: the stage histogram is the only per-window timer, and
-        # every window the runtime counts passes through identification.
+        # One clock: the stage histogram is the only per-window timer.  The
+        # correlation check times every window the runtime counts; this
+        # replay raises no detection, so identification never runs.
         snap = replayed.metrics.snapshot()["metrics"]
         assert "dice_span_seconds" not in snap
+        assert replayed.alerts == []
         windows = snap["dice_windows_total"]["series"][0]["value"]
         by_stage = {
             row["labels"]["stage"]: row["count"]
             for row in snap["dice_stage_seconds"]["series"]
         }
-        assert by_stage["identification"] == windows == 60
+        assert by_stage["correlation"] == windows == 60
+        assert by_stage["identification"] == 0
+
+    def test_identification_times_the_windows_its_sessions_covered(
+        self, registry, cyclic_trace
+    ):
+        # The kitchen motion sensor fails stop mid-hour: each detection
+        # opens a session, which runs until the identification that closes
+        # it (the last one at the end of the stream).
+        runtime = _runtime(_fit(registry, cyclic_trace, telemetry.MetricsRegistry()))
+        events = [
+            e
+            for e in cyclic_trace.slice(3.0 * HOUR, 4.0 * HOUR)
+            if not (e.device_id == "motion_kitchen" and e.timestamp > 3.4 * HOUR)
+        ]
+        runtime.ingest_many(events)
+        runtime.finish_stream(cyclic_trace.end)
+        sessions = [
+            a for a in runtime.alerts if a.kind in ("detection", "identification")
+        ]
+        assert [a.kind for a in sessions] == ["detection", "identification"] * (
+            len(sessions) // 2
+        )
+        assert sessions
+        covered = sum(
+            round((ident.time - det.time) / 60.0) + 1
+            for det, ident in zip(sessions[::2], sessions[1::2])
+        )
+        snap = runtime.metrics.snapshot()["metrics"]
+        by_stage = {
+            row["labels"]["stage"]: row["count"]
+            for row in snap["dice_stage_seconds"]["series"]
+        }
+        assert by_stage["correlation"] == 60
+        assert 0 < by_stage["identification"] == covered < 60
 
     def test_stage_clock_exports_before_the_first_window(
         self, registry, cyclic_trace
