@@ -202,16 +202,6 @@ def bench_provenance(seed: int, hours: float = 24.0, repeats: int = 5) -> Dict:
     }
 
 
-def _capacity_canon(alerts) -> str:
-    """One home's alert canon — kind/time/check/cases/devices/convergence."""
-    return repr(
-        [
-            (a.kind, a.time, a.check, a.cases, tuple(sorted(a.devices)), a.converged)
-            for a in alerts
-        ]
-    )
-
-
 def bench_capacity(
     num_homes: int,
     archetypes: int,
@@ -244,6 +234,7 @@ def bench_capacity(
     """
     from ..core.detector import DiceDetector as _Detector, DiceModel
     from ..core.encoding import StateSetEncoder
+    from ..faults.crash import canonical_alerts
     from ..fleet import FleetGateway
     from ..streaming import HardenedOnlineDice, SupervisorPolicy
 
@@ -341,7 +332,7 @@ def bench_capacity(
     replicated_s = time.perf_counter() - t0
 
     for home_id, alerts in zip(home_ids, replicated_alerts):
-        if _capacity_canon(shared_gw.alerts_of(home_id)) != _capacity_canon(alerts):
+        if canonical_alerts(shared_gw.alerts_of(home_id)) != canonical_alerts(alerts):
             raise AssertionError(
                 f"shared+batched fleet changed {home_id}'s alerts vs replicated"
             )

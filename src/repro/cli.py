@@ -68,13 +68,6 @@ from .durability.journal import FSYNC_POLICIES
 _log = telemetry.get_logger("repro.cli")
 
 
-def _worker_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("worker count must be at least 1")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     from .faults import models as fault_models
 
@@ -109,11 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--actuators", action="store_true", help="inject actuator faults only"
     )
-    evaluate.add_argument(
-        "--workers", type=_worker_count, default=1,
-        help="worker processes for the segment-pair fan-out (results are "
-        "identical for any count)",
-    )
 
     experiment = sub.add_parser(
         "experiment", help="regenerate one of the paper's tables/figures"
@@ -126,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--scale", type=float, default=0.5)
     experiment.add_argument("--pairs", type=int, default=30)
     experiment.add_argument("--seed", type=int, default=0)
-    experiment.add_argument("--workers", type=_worker_count, default=1)
 
     bench = sub.add_parser(
         "bench",
@@ -518,7 +505,7 @@ def _cmd_generate(args) -> int:
     checks = [
         (args.hours is None or _positive(args.hours),
          "--hours must be positive and finite"),
-    ]
+    ] + _dataset_checks([args.dataset])
     if not _flags_ok("bad_generate", checks):
         return 2
     data = load_dataset(args.dataset, seed=args.seed, hours=args.hours)
@@ -528,6 +515,26 @@ def _cmd_generate(args) -> int:
         f"({data.trace.duration_hours:.1f} h of {data.name}) to {args.output}"
     )
     return 0
+
+
+def _dataset_checks(names: Sequence[str], actuators: bool = False) -> list:
+    """Registry checks of the datasets an offline command names, run
+    before any trace is generated: each is a Table 4.1 dataset and, with
+    ``--actuators``, one that has actuators to fault."""
+    from .datasets import dataset_info
+
+    checks = []
+    for name in names:
+        try:
+            info = dataset_info(name)
+        except KeyError as exc:
+            checks.append((False, exc.args[0]))
+            continue
+        if actuators:
+            checks.append(
+                (info.actuators > 0, f"--actuators: {name} has no actuators")
+            )
+    return checks
 
 
 def _protocol_checks(args) -> list:
@@ -540,19 +547,17 @@ def _protocol_checks(args) -> list:
 
 
 def _cmd_evaluate(args) -> int:
-    from .datasets import load_dataset
-    from .eval import EvaluationRunner
+    from .eval.experiments import ProtocolSettings, run_protocol
 
-    if not _flags_ok("bad_evaluate", _protocol_checks(args)):
-        return 2
-    hours = None if args.scale == 1.0 else data_hours(args.dataset, args.scale)
-    data = load_dataset(args.dataset, seed=args.seed, hours=hours)
-    runner = EvaluationRunner(
-        precompute_hours=300.0 * args.scale, pairs=args.pairs, seed=args.seed,
-        workers=args.workers,
+    checks = _protocol_checks(args) + _dataset_checks(
+        [args.dataset], actuators=args.actuators
     )
-    devices = data.trace.registry.actuators() if args.actuators else None
-    result = runner.evaluate(args.dataset, data.trace, devices=devices)
+    if not _flags_ok("bad_evaluate", checks):
+        return 2
+    settings = ProtocolSettings(
+        hours_scale=args.scale, pairs=args.pairs, seed=args.seed
+    )
+    _, result = run_protocol(args.dataset, settings, actuators_only=args.actuators)
     detection = result.detection_counts()
     identification = result.identification_counts()
     print(f"dataset:             {args.dataset} (scale {args.scale}, {args.pairs} pairs)")
@@ -576,12 +581,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def data_hours(name: str, scale: float) -> float:
-    from .datasets import dataset_info
-
-    return dataset_info(name).hours * scale
-
-
 def _cmd_experiment(args) -> int:
     from .eval import report
     from .eval.experiments import (
@@ -593,11 +592,11 @@ def _cmd_experiment(args) -> int:
         timing,
     )
 
-    if not _flags_ok("bad_experiment", _protocol_checks(args)):
+    checks = _protocol_checks(args) + _dataset_checks(args.datasets or ())
+    if not _flags_ok("bad_experiment", checks):
         return 2
     settings = ProtocolSettings(
-        hours_scale=args.scale, pairs=args.pairs, seed=args.seed,
-        workers=args.workers,
+        hours_scale=args.scale, pairs=args.pairs, seed=args.seed
     )
     datasets = args.datasets or None
     if args.name == "accuracy":

@@ -20,7 +20,7 @@ over the loop's alerts, with the segment's :class:`StageTimings`.
 The batch path writes nothing to the metrics registry: the per-window
 ``dice_stage_seconds`` histogram is the streamed path's clock, and
 ``StageTimings`` is a plain value the evaluation runner merges across
-worker processes for Fig. 5.3.
+segment pairs for Fig. 5.3.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class StageTimings:
     results expose how much of the dominant scan cost the cache absorbed.
 
     A plain value: each batch segment returns one, and the evaluation
-    runner sums them with :meth:`merge` across pairs and worker processes.
+    runner sums them with :meth:`merge` across pairs.
     """
 
     encoding_s: float = 0.0

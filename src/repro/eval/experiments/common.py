@@ -39,9 +39,6 @@ class ProtocolSettings:
     precompute_hours: float = PRECOMPUTE_HOURS
     segment_hours: float = SEGMENT_HOURS
     config: DiceConfig = DEFAULT_CONFIG
-    #: Worker processes for the segment-pair fan-out (1 = in-process).
-    #: Results are deterministic and identical across worker counts.
-    workers: int = 1
 
     def scaled_hours(self, name: str) -> float:
         return dataset_info(name).hours * self.hours_scale
@@ -56,7 +53,6 @@ class ProtocolSettings:
             segment_hours=self.segment_hours,
             pairs=self.pairs,
             seed=self.seed,
-            workers=self.workers,
         )
 
 

@@ -12,9 +12,6 @@ module simply projects a different view of the same
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -141,9 +138,9 @@ class DatasetResult:
     def aggregate_fingerprint(self) -> str:
         """SHA-256 over the canonicalised, order-sensitive outcomes.
 
-        Wall-clock timings are excluded, so two runs of the same protocol —
-        e.g. ``workers=1`` vs ``workers=4`` — must produce the *same*
-        fingerprint; anything else is a parallelism bug."""
+        Wall-clock timings are excluded, so two runs of the same protocol
+        over the same inputs must produce the *same* fingerprint; anything
+        else is a determinism bug."""
         canon = [
             (
                 o.fault.device_id,
@@ -164,15 +161,9 @@ class DatasetResult:
 
 
 class EvaluationRunner:
-    """Runs the segment-pair protocol for one dataset.
-
-    ``workers > 1`` fans the (independent) segment pairs across a
-    ``ProcessPoolExecutor``: each worker unpickles the fitted detector
-    together with its chunk of pairs (joint pickling preserves the shared
-    device-registry identity the encoder checks) and returns its outcomes;
-    the parent reassembles chunks in submission order, so results are
-    deterministic and identical to a ``workers=1`` run.
-    """
+    """Runs the segment-pair protocol for one dataset, in this process:
+    each pair is evaluated as it is drawn, so at most the pair just
+    evaluated and the one being built are alive at once."""
 
     def __init__(
         self,
@@ -181,21 +172,12 @@ class EvaluationRunner:
         segment_hours: float = 6.0,
         pairs: int = 100,
         seed: int = 0,
-        workers: int = 1,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         self.config = config
         self.precompute_hours = precompute_hours
         self.segment_hours = segment_hours
         self.pairs = pairs
         self.seed = seed
-        # Cap at the machine's core count: oversubscribed process pools are
-        # strictly slower (a 2-worker pool on 1 CPU pays pickling plus
-        # context-switching for zero parallelism), and results are
-        # worker-count-invariant anyway.  The effective count is what
-        # ``self.workers`` reports.
-        self.workers = min(workers, os.cpu_count() or workers)
 
     # ------------------------------------------------------------------ #
 
@@ -228,7 +210,6 @@ class EvaluationRunner:
         trace: Trace,
         fault_types: Optional[Sequence[FaultType]] = None,
         devices: Optional[Sequence[Device]] = None,
-        detector: Optional[DiceDetector] = None,
     ) -> DatasetResult:
         """Run the full protocol; returns the aggregated result.
 
@@ -238,8 +219,7 @@ class EvaluationRunner:
 
         training, pairs = self.prepare(trace, fault_types, devices)
         t0 = _time.perf_counter()
-        if detector is None:
-            detector = self.fit_detector(trace, training)
+        detector = self.fit_detector(trace, training)
         fit_seconds = _time.perf_counter() - t0
         result = DatasetResult(
             name=name,
@@ -248,46 +228,11 @@ class EvaluationRunner:
             num_groups=len(detector.model.groups),
             fit_seconds=fit_seconds,
         )
-        for outcome, timings in self._run_pairs(detector, pairs):
+        for pair in pairs:
+            outcome, timings = _evaluate_pair(detector, pair)
             result.outcomes.append(outcome)
             result.timings.merge(timings)
         return result
-
-    def _run_pairs(
-        self, detector: DiceDetector, pairs: Iterator[SegmentPair]
-    ) -> Iterator[Tuple[SegmentOutcome, StageTimings]]:
-        """Evaluate every pair: one worker evaluates each pair as it is
-        drawn; a pool takes them all as one list."""
-        if self.workers <= 1:
-            return (_evaluate_pair(detector, pair) for pair in pairs)
-        pairs = list(pairs)
-        if len(pairs) <= 1:
-            return [_evaluate_pair(detector, pair) for pair in pairs]
-        chunks = _contiguous_chunks(pairs, self.workers)
-        payloads = [
-            pickle.dumps((detector, chunk), protocol=pickle.HIGHEST_PROTOCOL)
-            for chunk in chunks
-        ]
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            per_chunk = list(pool.map(_evaluate_chunk_payload, payloads))
-        return [item for chunk in per_chunk for item in chunk]
-
-
-def _contiguous_chunks(items: List, n: int) -> List[List]:
-    """Split *items* into ≤ *n* contiguous, near-equal, non-empty chunks
-    (concatenating them restores the original order)."""
-    n = min(n, len(items))
-    bounds = np.linspace(0, len(items), n + 1).round().astype(int)
-    return [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-
-def _evaluate_chunk_payload(
-    payload: bytes,
-) -> List[Tuple[SegmentOutcome, StageTimings]]:
-    """Worker entry point: rebuild the fitted detector and its chunk of
-    pairs from one joint pickle, evaluate the chunk in order."""
-    detector, pairs = pickle.loads(payload)
-    return [_evaluate_pair(detector, pair) for pair in pairs]
 
 
 def _evaluate_pair(

@@ -65,7 +65,6 @@ from .crash import (
 )
 
 __all__ = [
-    "NetFaultSpec",
     "NetFaultInjector",
     "SimulatedDisconnect",
     "run_service_trial",
@@ -79,24 +78,18 @@ class SimulatedDisconnect(ConnectionError):
     """The injector cut the connection (possibly mid-frame)."""
 
 
-@dataclass
-class NetFaultSpec:
-    """Per-frame fault probabilities for one injector.
-
-    Rates apply independently per outgoing *event* frame; the handshake
-    frames stay clean so every connection at least reaches the resume
-    negotiation (handshake corruption is covered by the decoder fuzz
-    tests, which need no live server).
-    """
-
-    torn_write_rate: float = 0.01  # partial frame, then disconnect
-    disconnect_rate: float = 0.005  # clean cut between frames
-    garbage_rate: float = 0.002  # line noise injected before the frame
-    slowloris_rate: float = 0.005  # frame dribbled in tiny chunks
-    duplicate_rate: float = 0.3  # chance a reconnect rewinds its resume
-    duplicate_depth: int = 6  # max frames re-sent below ``applied``
-    slow_chunk_bytes: int = 5
-    slow_delay_s: float = 0.001
+#: Per-frame fault rates.  They apply independently to each outgoing
+#: *event* frame; the handshake frames stay clean so every connection at
+#: least reaches the resume negotiation (handshake corruption is covered
+#: by the decoder fuzz tests, which need no live server).
+TORN_WRITE_RATE = 0.01  # partial frame, then disconnect
+DISCONNECT_RATE = 0.005  # clean cut between frames
+GARBAGE_RATE = 0.002  # line noise injected before the frame
+SLOWLORIS_RATE = 0.005  # frame dribbled in tiny chunks
+DUPLICATE_RATE = 0.3  # chance a reconnect rewinds its resume
+DUPLICATE_DEPTH = 6  # max frames re-sent below ``applied``
+SLOW_CHUNK_BYTES = 5
+SLOW_DELAY_S = 0.001
 
 
 @dataclass
@@ -111,11 +104,10 @@ class _FaultCounts:
 class NetFaultInjector:
     """Seeded byte-level fault source for one client's send path."""
 
-    def __init__(self, rng, spec: Optional[NetFaultSpec] = None) -> None:
+    def __init__(self, rng) -> None:
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(int(rng))
         self.rng = rng
-        self.spec = spec if spec is not None else NetFaultSpec()
         self.counts = _FaultCounts()
 
     # -- ServiceClient hooks ------------------------------------------- #
@@ -125,31 +117,29 @@ class NetFaultInjector:
 
     def resume_from(self, applied: int) -> int:
         """Possibly rewind the resume point: the duplicate-sends fault."""
-        spec = self.spec
-        if applied > 0 and self.rng.random() < spec.duplicate_rate:
-            rewind = min(applied, 1 + int(self.rng.integers(spec.duplicate_depth)))
+        if applied > 0 and self.rng.random() < DUPLICATE_RATE:
+            rewind = min(applied, 1 + int(self.rng.integers(DUPLICATE_DEPTH)))
             self.counts.duplicates += rewind
             return applied - rewind
         return applied
 
     def send(self, sock, data: bytes, kind: str) -> None:
         """Deliver one frame's bytes, possibly perturbed."""
-        spec = self.spec
         if kind != "event":
             sock.sendall(data)
             return
         roll = float(self.rng.random())
-        edge = spec.torn_write_rate
+        edge = TORN_WRITE_RATE
         if roll < edge and len(data) > 1:
             cut = 1 + int(self.rng.integers(len(data) - 1))
             sock.sendall(data[:cut])
             self.counts.torn_writes += 1
             raise SimulatedDisconnect(f"torn write after {cut} bytes")
-        edge += spec.disconnect_rate
+        edge += DISCONNECT_RATE
         if roll < edge:
             self.counts.disconnects += 1
             raise SimulatedDisconnect("disconnect between frames")
-        edge += spec.garbage_rate
+        edge += GARBAGE_RATE
         if roll < edge:
             noise = self.rng.integers(0, 256, size=16, dtype=np.uint8).tobytes()
             self.counts.garbage += 1
@@ -158,13 +148,12 @@ class NetFaultInjector:
             # writing until it does — the client recovers via its retry loop.
             sock.sendall(data)
             return
-        edge += spec.slowloris_rate
+        edge += SLOWLORIS_RATE
         if roll < edge:
             self.counts.slowloris += 1
-            step = max(1, spec.slow_chunk_bytes)
-            for offset in range(0, len(data), step):
-                sock.sendall(data[offset : offset + step])
-                time.sleep(spec.slow_delay_s)
+            for offset in range(0, len(data), SLOW_CHUNK_BYTES):
+                sock.sendall(data[offset : offset + SLOW_CHUNK_BYTES])
+                time.sleep(SLOW_DELAY_S)
             return
         sock.sendall(data)
 

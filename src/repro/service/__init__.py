@@ -40,6 +40,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "ServiceThread",
         ),
         "client": ("ServiceClient", "ServiceError", "SendReport"),
-        "signals": ("GracefulShutdown", "drain_iter"),
+        "signals": ("GracefulShutdown",),
     },
 )

@@ -501,7 +501,7 @@ class IngestServer:
             event = Event(
                 float(message["t"]), str(message["d"]), float(message["v"])
             )
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise _Disconnect("bad_event")
         try:
             self._queue.put_nowait(("event", conn.home, event))

@@ -12,15 +12,13 @@ the same signals straight to :meth:`IngestServer.drain` on its loop.
 from __future__ import annotations
 
 import signal
-from typing import Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import List, Optional, Tuple
 
 from .. import telemetry
 
-__all__ = ["GracefulShutdown", "drain_iter"]
+__all__ = ["GracefulShutdown"]
 
 _log = telemetry.get_logger("repro.service.signals")
-
-T = TypeVar("T")
 
 #: The signals a deployment sends a process it wants gone politely.
 _SIGNALS = (signal.SIGTERM, signal.SIGINT)
@@ -71,21 +69,3 @@ class GracefulShutdown:
 
     def __exit__(self, *exc_info) -> None:
         self._restore()
-
-
-def drain_iter(
-    items: Iterable[T], shutdown: Optional[GracefulShutdown]
-) -> Iterator[T]:
-    """Yield from *items* until a shutdown is requested.
-
-    The drain point is *between* items — an event already yielded is
-    processed to completion, so a checkpoint taken after the loop captures
-    a consistent prefix of the stream.
-    """
-    if shutdown is None:
-        yield from items
-        return
-    for item in items:
-        if shutdown.requested:
-            return
-        yield item

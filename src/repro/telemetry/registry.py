@@ -140,11 +140,6 @@ class _Metric:
             # it shows up in exports even before the first update.
             self._series[()] = _Series(self, ())
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_lock"] = None  # restored by MetricsRegistry.__setstate__
-        return state
-
     def labels(self, **labels: str) -> _Series:
         if set(labels) != set(self.labelnames):
             raise ValueError(
@@ -226,10 +221,6 @@ class MetricsRegistry:
     modules can declare the same family independently and share it.  A
     disabled registry (``enabled=False``) returns no-op metrics — the
     telemetry-off configuration costs nothing and records nothing.
-
-    Registries pickle (the lock and collectors are dropped and rebuilt) so
-    an instrumented detector can cross a process boundary; collectors are
-    process-local by nature and do not survive the trip.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -237,18 +228,6 @@ class MetricsRegistry:
         self._lock = threading.RLock()
         self._metrics: "Dict[str, _Metric]" = {}
         self._collectors: "Dict[str, Callable[[], None]]" = {}
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_lock"] = None
-        state["_collectors"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-        for metric in self._metrics.values():
-            metric._lock = self._lock
 
     # -- family creation -------------------------------------------------- #
 

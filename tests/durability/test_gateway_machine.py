@@ -59,7 +59,10 @@ DETECTOR = DEPLOYMENT.fit_detector(metrics=telemetry.NULL_REGISTRY)
 
 
 def _detector():
-    return copy.deepcopy(DETECTOR)
+    # The copies share the null registry: it records nothing, and a
+    # registry's lock cannot be copied.
+    registry = telemetry.NULL_REGISTRY
+    return copy.deepcopy(DETECTOR, {id(registry): registry})
 
 
 class RefusingSink(AlertSink):

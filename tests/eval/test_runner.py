@@ -76,6 +76,13 @@ class TestDatasetResult:
         assert result.num_groups > 0
 
 
+class TestFingerprint:
+    def test_fingerprint_is_sha256_hex(self, result):
+        digest = result.aggregate_fingerprint()
+        assert len(digest) == 64
+        int(digest, 16)  # raises if not hex
+
+
 class TestRunnerOptions:
     def test_fault_type_restriction(self, small_house):
         runner = EvaluationRunner(precompute_hours=72.0, pairs=6, seed=1)

@@ -78,18 +78,36 @@ def _http_get(port: int, path: str):
         conn.close()
 
 
+def _welcomed(port: int, home_id: str):
+    """Open an ingest connection for *home_id* and wait for its
+    ``welcome``; returns the socket and its decoder."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
+    sock.sendall(encode_message(protocol.hello(home_id)))
+    decoder = FrameDecoder()
+    while True:
+        data = sock.recv(4096)
+        assert data, "closed before welcome"
+        messages = decoder.feed(data)
+        if messages:
+            assert messages[0]["type"] == "welcome"
+            return sock, decoder
+
+
+def _until_closed(sock, decoder) -> list:
+    """Every message the server sends before it closes the connection."""
+    messages = []
+    while True:
+        data = sock.recv(4096)
+        if not data:
+            return messages
+        messages += decoder.feed(data)
+
+
 def _blast(port: int, home_id: str, events) -> None:
     """Fire *events* at the server as fast as the socket will take them —
     no acks read, no retries — then ride out the disconnect."""
-    sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
+    sock, _ = _welcomed(port, home_id)
     try:
-        sock.sendall(encode_message(protocol.hello(home_id)))
-        decoder = FrameDecoder()
-        while True:
-            messages = decoder.feed(sock.recv(4096))
-            if messages:
-                assert messages[0]["type"] == "welcome"
-                break
         sock.sendall(b"".join(encode_event_frame(e) for e in events))
         while sock.recv(4096):
             pass  # drain until the server cuts us off
@@ -114,6 +132,40 @@ class TestServiceConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServiceConfig(**kwargs)
+
+
+class TestBadEvent:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"t": 0.0, "d": "x"},
+            {"t": "noon", "d": "x", "v": 1.0},
+            {"t": 10**400, "d": "x", "v": 1.0},  # float() overflows
+        ],
+        ids=["missing-field", "non-numeric-t", "oversized-int"],
+    )
+    def test_dropped_counted_and_serving_goes_on(
+        self, deployment, tmp_path, fields
+    ):
+        """A malformed event frame costs its connection one ``bad_event``
+        error, counted once; the next connection is welcomed."""
+        durable = _durable(deployment, os.fspath(tmp_path / "journals"))
+        handle = ServiceThread(IngestServer(durable, ServiceConfig())).start()
+        try:
+            sock, decoder = _welcomed(handle.port, deployment.home_id)
+            with sock:
+                sock.sendall(encode_message(dict(fields, type="event")))
+                assert _until_closed(sock, decoder) == [
+                    protocol.error("bad_event")
+                ]
+            snapshot = handle.call(durable.metrics_snapshot)
+            assert snapshot["metrics"][DISCONNECTS_TOTAL]["series"] == [
+                {"labels": {"reason": "bad_event"}, "value": 1.0}
+            ]
+            sock, _ = _welcomed(handle.port, deployment.home_id)
+            sock.close()
+        finally:
+            handle.kill()
 
 
 class TestOverload:

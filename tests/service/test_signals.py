@@ -1,4 +1,5 @@
-"""GracefulShutdown: signals request a drain; the loop stops between items.
+"""GracefulShutdown: signals request a drain, and the handlers it swapped
+in are restored on exit.
 
 ``repro serve`` gets the same contract end to end: SIGTERM drains to a
 checkpoint and exits 0, even when it lands the moment the ports file
@@ -12,7 +13,7 @@ import sys
 import time
 
 import repro
-from repro.service import GracefulShutdown, drain_iter
+from repro.service import GracefulShutdown
 
 
 def _fire(signum=signal.SIGTERM):
@@ -38,24 +39,6 @@ class TestGracefulShutdown:
         with GracefulShutdown():
             assert signal.getsignal(signal.SIGTERM) != before
         assert signal.getsignal(signal.SIGTERM) == before
-
-    def test_drain_iter_stops_between_items(self):
-        """The signal lands mid-stream; the item in flight completes and
-        nothing after it is yielded — the checkpoint-consistent prefix."""
-        with GracefulShutdown() as shutdown:
-            seen = []
-            for item in drain_iter(range(10), shutdown):
-                seen.append(item)
-                if item == 3:
-                    _fire(signal.SIGTERM)
-            assert seen == [0, 1, 2, 3]
-
-    def test_drain_iter_without_shutdown_passes_through(self):
-        assert list(drain_iter(range(4), None)) == [0, 1, 2, 3]
-
-    def test_drain_iter_idle_stream_untouched(self):
-        with GracefulShutdown() as shutdown:
-            assert list(drain_iter(range(3), shutdown)) == [0, 1, 2]
 
 
 class TestServeDrain:

@@ -1,7 +1,6 @@
 """MetricsRegistry: families, series, snapshots, merging, concurrency,
 and the snapshot readers."""
 
-import pickle
 import threading
 
 import pytest
@@ -173,20 +172,6 @@ class TestNullRegistry:
         snap = NULL_REGISTRY.snapshot()
         assert snap["metrics"] == {}
         NULL_REGISTRY.restore_counters({"metrics": {}})
-
-
-class TestPickling:
-    def test_round_trip_preserves_values(self, reg):
-        reg.counter("n_total", labelnames=("k",)).labels(k="a").inc(3)
-        reg.histogram("h_seconds", buckets=(1.0,)).observe(0.5)
-        reg.register_collector("dead", lambda: None)
-        clone = pickle.loads(pickle.dumps(reg))
-        assert clone.counter("n_total", labelnames=("k",)).labels(k="a").get() == 3
-        # Collectors are process-local and must not survive the trip.
-        assert clone._collectors == {}
-        # The rebuilt lock still guards updates.
-        clone.counter("n_total", labelnames=("k",)).labels(k="a").inc()
-        assert clone.snapshot()["metrics"]["h_seconds"]["series"][0]["count"] == 1
 
 
 class TestMergeSnapshots:

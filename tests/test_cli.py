@@ -45,12 +45,21 @@ class TestGenerate:
         trace = read_trace(str(out_path))
         assert len(trace.registry) == 14
 
-    @pytest.mark.parametrize("hours", ["0", "-2", "inf", "nan"])
-    def test_bad_parameters_exit_2(self, hours, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["houseA", "--hours", "0"], "--hours"),
+            (["houseA", "--hours", "-2"], "--hours"),
+            (["houseA", "--hours", "inf"], "--hours"),
+            (["houseA", "--hours", "nan"], "--hours"),
+            (["nope"], "nope"),
+        ],
+        ids=["0", "-2", "inf", "nan", "unknown-dataset"],
+    )
+    def test_bad_parameters_exit_2(self, args, flag, tmp_path, capsys):
         out_path = tmp_path / "trace.csv"
-        argv = ["generate", "houseA", "--hours", hours, "-o", str(out_path)]
-        assert main(argv) == 2
-        _one_error_line(capsys.readouterr().err, "bad_generate", "--hours")
+        assert main(["generate", *args, "-o", str(out_path)]) == 2
+        _one_error_line(capsys.readouterr().err, "bad_generate", flag)
         assert not out_path.exists()
 
 
@@ -74,6 +83,8 @@ class TestEvaluate:
             (["evaluate", "houseA", "--pairs", "-3"], "--pairs"),
             (["evaluate", "houseA", "--scale", "inf"], "--scale"),
             (["evaluate", "houseA", "--scale", "nan"], "--scale"),
+            (["evaluate", "nope"], "nope"),
+            (["evaluate", "houseA", "--actuators"], "--actuators"),
         ],
     )
     def test_bad_parameters_exit_2(self, argv, flag, capsys):
@@ -584,6 +595,7 @@ class TestExperiment:
             (["experiment", "accuracy", "--pairs", "0"], "--pairs"),
             (["experiment", "accuracy", "--scale", "inf"], "--scale"),
             (["experiment", "accuracy", "--scale", "nan"], "--scale"),
+            (["experiment", "accuracy", "--datasets", "houseA", "nope"], "nope"),
         ],
     )
     def test_bad_parameters_exit_2(self, argv, flag, capsys):
